@@ -1,6 +1,6 @@
 """Run every figure harness at benchmark scale and dump the result tables.
 
-Writes ``results/figX.md`` (one markdown table per paper figure) — the
+Writes ``results/figX.txt`` (one plain-text table per paper figure) — the
 source of the "measured" column in EXPERIMENTS.md.
 
 Run: ``spark-submit jobs/run_all.py`` (or plain python).

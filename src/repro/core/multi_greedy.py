@@ -6,7 +6,7 @@ tasks under a shared budget.  Worker conflicts are the paper's Fig 4
 mechanism: when task A claims worker w at slot t, every other task whose
 current lowest-cost candidate at slot t was w is bumped to its next-ranked
 (2nd-, 3rd-, … nearest) unclaimed worker — the "k-th NN" field of the
-Conflicting Table.
+Conflicting Table, kept by :class:`ClaimLedger`.
 
 Lazy greedy is sound here: a task's marginal gains only decrease as it
 executes more slots (submodularity, Lemma 2) and its per-slot costs only
@@ -17,8 +17,9 @@ MMQM (minimum quality, Problem 3) keeps tasks in a heap by current quality
 and repeatedly lets the weakest task execute its best subtask.
 
 Both accept ``use_index=True`` (Approx*: per-task Voronoi tree index) or
-``False`` (Approx: naive full recomputation) so the paper's Fig 9(g,h)
-Approx-vs-Approx* comparison is reproducible.
+``False`` (Approx: :class:`repro.core.greedy.NaiveScorer`, full
+recomputation) so the paper's Fig 9(g,h) Approx-vs-Approx* comparison is
+reproducible.
 """
 from __future__ import annotations
 
@@ -28,11 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.assignment import TaskContext
-from repro.core.greedy import EPS, Assignment
-from repro.core.quality import p_vector, quality_from_p
-from repro.core.tree_index import Candidate, VoronoiTreeIndex
+from repro.core.greedy import Assignment, Candidate, NaiveScorer
+from repro.core.quality import p_vector  # noqa: F401  (perfbench/layertrace.py patches it here)
+from repro.core.tree_index import VoronoiTreeIndex
 
 __all__ = [
+    "ClaimLedger",
     "MultiResult",
     "TaskSolverState",
     "solve_msqm_serial",
@@ -43,51 +45,82 @@ __all__ = [
 
 @dataclass
 class MultiResult:
-    """Aggregate outcome of a multi-task solve."""
+    """Aggregate outcome of a multi-task solve.
+
+    ``q_sum``, ``q_min``, ``total_cost`` and ``steps`` (the number of
+    executed subtasks) are derived from ``assignments``.
+    """
 
     assignments: list[Assignment]
-    q_sum: float
-    q_min: float
-    total_cost: float
     conflicts: int
-    steps: int
     stats: dict = field(default_factory=dict)
+    q_sum: float = field(init=False)
+    q_min: float = field(init=False)
+    total_cost: float = field(init=False)
+    steps: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        qs = [a.quality for a in self.assignments]
+        self.q_sum = float(sum(qs))
+        self.q_min = float(min(qs)) if qs else 0.0
+        self.total_cost = float(sum(a.cost for a in self.assignments))
+        self.steps = sum(len(a.exec_slots) for a in self.assignments)
 
 
-class _NaiveSolver:
-    """Approx-style per-task stepwise solver: full recompute per candidate."""
+class ClaimLedger:
+    """The paper's Conflicting Table (Sec IV-A-2).
 
-    def __init__(self, m: int, k: int, costs: np.ndarray):
-        self.m, self.k = m, k
-        self.costs = np.asarray(costs, dtype=np.float64).copy()
-        self.exec_slots: list[int] = []
-        self.q_cur = 0.0
-        self.counters = {"candidates_evaluated": 0, "interp_ops": 0}
+    It holds the claimed (worker, slot) pairs and each task's current rank
+    per slot; a task's *current worker* at a slot is its candidate at that
+    rank (−1, at cost ``inf``, past the ``top_r`` retained candidates).
+    ``bumps`` counts rank advances, i.e. worker conflicts.
+    """
 
-    def update_cost(self, slot: int, new_cost: float) -> None:
-        self.costs[slot] = new_cost
+    def __init__(self, ctxs: list[TaskContext]):
+        self.ctxs = ctxs
+        self.ranks = [np.zeros(c.m, dtype=np.int64) for c in ctxs]
+        self.claimed: set[tuple[int, int]] = set()
+        self.bumps = 0
 
-    def best_candidate(self, rem_budget: float, t_s: int = 0) -> Candidate | None:
-        best: Candidate | None = None
-        ex = set(self.exec_slots)
-        for x in range(self.m):
-            if x in ex or not np.isfinite(self.costs[x]) or self.costs[x] > rem_budget:
-                continue
-            q_new = quality_from_p(
-                p_vector(np.sort(np.asarray(self.exec_slots + [x])), self.m, self.k)
-            )
-            self.counters["candidates_evaluated"] += 1
-            self.counters["interp_ops"] += self.m
-            h = (q_new - self.q_cur) / self.costs[x]
-            if best is None or h > best.heuristic + EPS:
-                best = Candidate(slot=x, heuristic=h, gain=q_new - self.q_cur)
-        return best
+    def worker(self, i: int, slot: int) -> int:
+        return self.ctxs[i].worker_at_rank(slot, int(self.ranks[i][slot]))
 
-    def commit(self, slot: int) -> None:
-        self.exec_slots.append(slot)
-        self.q_cur = quality_from_p(
-            p_vector(np.sort(np.asarray(self.exec_slots)), self.m, self.k)
-        )
+    def cost(self, i: int, slot: int) -> float:
+        return self.ctxs[i].cost_at_rank(slot, int(self.ranks[i][slot]))
+
+    def bump(self, i: int, slot: int) -> int:
+        """Advance task ``i`` at ``slot`` to its next unclaimed rank (the
+        paper's k-th-NN bump); returns the new current worker."""
+        ctx, r = self.ctxs[i], int(self.ranks[i][slot])
+        while True:
+            r += 1
+            w = ctx.worker_at_rank(slot, r)
+            if w == -1 or (w, slot) not in self.claimed:
+                break
+        self.ranks[i][slot] = r
+        self.bumps += 1
+        return w
+
+    def record(self, i: int, slot: int) -> tuple[int, float]:
+        """Claim task ``i``'s current worker at ``slot`` without bumping
+        rivals; returns (worker, cost)."""
+        worker = self.worker(i, slot)
+        if (worker, slot) in self.claimed:
+            raise ValueError(f"worker {worker} at slot {slot} is already claimed")
+        self.claimed.add((worker, slot))
+        return worker, self.cost(i, slot)
+
+    def claim(self, i: int, slot: int) -> tuple[int, float, list[int]]:
+        """Record task ``i``'s claim and bump every other task whose current
+        worker at ``slot`` it took.  Returns (worker, cost, bumped tasks)."""
+        worker, cost = self.record(i, slot)
+        rivals = [
+            t for t in range(len(self.ctxs))
+            if t != i and self.worker(t, slot) == worker
+        ]
+        for t in rivals:
+            self.bump(t, slot)
+        return worker, cost, rivals
 
 
 @dataclass
@@ -95,80 +128,51 @@ class TaskSolverState:
     """One task's live state inside a multi-task solve."""
 
     ctx: TaskContext
-    solver: object  # VoronoiTreeIndex | _NaiveSolver
-    ranks: np.ndarray  # current worker rank per slot
+    scorer: VoronoiTreeIndex | NaiveScorer
     exec_slots: list[int] = field(default_factory=list)
     workers: list[int] = field(default_factory=list)
     spent: float = 0.0
 
     @property
     def quality(self) -> float:
-        return float(self.solver.q_cur)
+        return float(self.scorer.q_cur)
 
 
 def _make_state(ctx: TaskContext, k: int, use_index: bool) -> TaskSolverState:
-    costs = ctx.base_costs()
-    solver = (
-        VoronoiTreeIndex(ctx.m, k, costs) if use_index else _NaiveSolver(ctx.m, k, costs)
-    )
-    return TaskSolverState(ctx=ctx, solver=solver, ranks=np.zeros(ctx.m, dtype=np.int64))
+    scorer = VoronoiTreeIndex if use_index else NaiveScorer
+    return TaskSolverState(ctx=ctx, scorer=scorer(ctx.m, k, ctx.base_costs()))
 
 
-def _claim_and_bump(
-    states: list[TaskSolverState],
-    committer: int,
-    slot: int,
-    claimed: set[tuple[int, int]],
-) -> tuple[int, float, int]:
-    """Commit task ``committer``'s claim on its current-rank worker at
-    ``slot``; bump every other task that wanted the same worker.  Returns
-    (worker_id, cost, n_bumps)."""
-    st = states[committer]
-    rank = int(st.ranks[slot])
-    worker = st.ctx.worker_at_rank(slot, rank)
-    cost = st.ctx.cost_at_rank(slot, rank)
-    claimed.add((worker, slot))
-    bumps = 0
-    for i, other in enumerate(states):
-        if i == committer:
-            continue
-        if slot in other.exec_slots:
-            continue
-        r = int(other.ranks[slot])
-        if other.ctx.worker_at_rank(slot, r) != worker:
-            continue
-        # Conflict: advance to the next unclaimed rank (paper's k-th NN bump).
-        while True:
-            r += 1
-            w = other.ctx.worker_at_rank(slot, r)
-            if w == -1 or (w, slot) not in claimed:
-                break
-        other.ranks[slot] = r
-        other.solver.update_cost(slot, other.ctx.cost_at_rank(slot, r))
-        bumps += 1
-    return worker, float(cost), bumps
+def _commit(
+    states: list[TaskSolverState], ledger: ClaimLedger, i: int, slot: int
+) -> tuple[float, list[int]]:
+    """Task ``i`` claims its current worker at ``slot`` and executes it;
+    bumped rivals are repriced.  Returns (cost, bumped tasks)."""
+    worker, cost, rivals = ledger.claim(i, slot)
+    for t in rivals:
+        states[t].scorer.update_cost(slot, ledger.cost(t, slot))
+    st = states[i]
+    st.scorer.commit(slot)
+    st.exec_slots.append(slot)
+    st.workers.append(worker)
+    st.spent += cost
+    return cost, rivals
 
 
-def _finalize(states: list[TaskSolverState], conflicts: int, steps: int) -> MultiResult:
-    assignments = [
-        Assignment(
-            task_id=st.ctx.task_id,
-            exec_slots=list(st.exec_slots),
-            workers=list(st.workers),
-            cost=st.spent,
-            quality=st.quality,
-            stats=dict(getattr(st.solver, "counters", {})),
-        )
-        for st in states
-    ]
-    qs = [a.quality for a in assignments]
+def _result(states: list[TaskSolverState], ledger: ClaimLedger) -> MultiResult:
     return MultiResult(
-        assignments=assignments,
-        q_sum=float(sum(qs)),
-        q_min=float(min(qs)) if qs else 0.0,
-        total_cost=float(sum(a.cost for a in assignments)),
-        conflicts=conflicts,
-        steps=steps,
+        assignments=[
+            Assignment(
+                task_id=st.ctx.task_id,
+                exec_slots=list(st.exec_slots),
+                workers=list(st.workers),
+                cost=st.spent,
+                quality=st.quality,
+                stats=dict(st.scorer.counters),
+            )
+            for st in states
+        ],
+        conflicts=ledger.bumps,
     )
 
 
@@ -182,16 +186,15 @@ def solve_msqm_serial(
 ) -> MultiResult:
     """Serial MSQM: global lazy greedy by Δq_sum/cost with worker conflicts."""
     states = [_make_state(c, k, use_index) for c in ctxs]
-    claimed: set[tuple[int, int]] = set()
+    ledger = ClaimLedger(ctxs)
     spent = 0.0
-    conflicts = steps = 0
     # Lazy-greedy heap of (−cached_h, task_idx, epoch); epoch invalidates.
     epochs = [0] * len(states)
     heap: list[tuple[float, int, int]] = []
     cached: dict[int, Candidate | None] = {}
 
     def _push(i: int) -> None:
-        cand = states[i].solver.best_candidate(budget - spent, t_s)
+        cand = states[i].scorer.best_candidate(budget - spent, t_s)
         cached[i] = cand
         if cand is not None:
             heapq.heappush(heap, (-cand.heuristic, i, epochs[i]))
@@ -206,29 +209,22 @@ def solve_msqm_serial(
         if cand is None:
             continue
         slot = cand.slot
-        cost = states[i].ctx.cost_at_rank(slot, int(states[i].ranks[slot]))
-        if cost > budget - spent:
+        if ledger.cost(i, slot) > budget - spent:
             # Re-evaluate under the tighter remaining budget.
             epochs[i] += 1
             _push(i)
             continue
-        worker, cost, bumps = _claim_and_bump(states, i, slot, claimed)
-        states[i].solver.commit(slot)
-        states[i].exec_slots.append(slot)
-        states[i].workers.append(worker)
-        states[i].spent += cost
+        cost, rivals = _commit(states, ledger, i, slot)
         spent += cost
-        conflicts += bumps
-        steps += 1
         epochs[i] += 1
         _push(i)
-        if bumps:
+        if rivals:
             # Bumped tasks' cached candidates may now be invalid (cost rose).
             for j in range(len(states)):
                 if j != i and cached.get(j) is not None and cached[j].slot == slot:
                     epochs[j] += 1
                     _push(j)
-    res = _finalize(states, conflicts, steps)
+    res = _result(states, ledger)
     res.stats["budget"] = budget
     return res
 
@@ -243,9 +239,8 @@ def solve_mmqm(
 ) -> MultiResult:
     """MMQM: repeatedly improve the minimum-quality task (heap-ordered)."""
     states = [_make_state(c, k, use_index) for c in ctxs]
-    claimed: set[tuple[int, int]] = set()
+    ledger = ClaimLedger(ctxs)
     spent = 0.0
-    conflicts = steps = 0
     exhausted: set[int] = set()
     while len(exhausted) < len(states):
         # Weakest task that can still act.
@@ -254,24 +249,16 @@ def solve_mmqm(
         )
         progressed = False
         for _, i in order:
-            cand = states[i].solver.best_candidate(budget - spent, t_s)
+            cand = states[i].scorer.best_candidate(budget - spent, t_s)
             if cand is None:
                 exhausted.add(i)
                 continue
-            slot = cand.slot
-            worker, cost, bumps = _claim_and_bump(states, i, slot, claimed)
-            states[i].solver.commit(slot)
-            states[i].exec_slots.append(slot)
-            states[i].workers.append(worker)
-            states[i].spent += cost
-            spent += cost
-            conflicts += bumps
-            steps += 1
+            spent += _commit(states, ledger, i, cand.slot)[0]
             progressed = True
             break
         if not progressed:
             break
-    res = _finalize(states, conflicts, steps)
+    res = _result(states, ledger)
     res.stats["budget"] = budget
     return res
 
@@ -282,27 +269,16 @@ def solve_multi_rand(
     """Rand baseline for the multi-task case: random (task, slot) picks with
     nearest-unclaimed-worker assignment until the budget is exhausted."""
     states = [_make_state(c, k, use_index=True) for c in ctxs]
-    claimed: set[tuple[int, int]] = set()
+    ledger = ClaimLedger(ctxs)
     g = np.random.default_rng(seed)
     pairs = [
         (i, int(s)) for i, c in enumerate(ctxs) for s in c.assignable_slots()
     ]
     g.shuffle(pairs)
     spent = 0.0
-    conflicts = steps = 0
     for i, slot in pairs:
-        st = states[i]
-        if slot in st.exec_slots:
-            continue
-        cost = st.ctx.cost_at_rank(slot, int(st.ranks[slot]))
+        cost = ledger.cost(i, slot)
         if not np.isfinite(cost) or spent + cost > budget:
             continue
-        worker, cost, bumps = _claim_and_bump(states, i, slot, claimed)
-        st.solver.commit(slot)
-        st.exec_slots.append(slot)
-        st.workers.append(worker)
-        st.spent += cost
-        spent += cost
-        conflicts += bumps
-        steps += 1
-    return _finalize(states, conflicts, steps)
+        spent += _commit(states, ledger, i, slot)[0]
+    return _result(states, ledger)

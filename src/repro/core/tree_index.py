@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.assignment import TaskContext
-from repro.core.greedy import EPS, Assignment
+from repro.core.greedy import EPS, Assignment, Candidate, solve_greedy
 from repro.core.quality import knn_distances, partial_quality
 
 __all__ = ["VoronoiTreeIndex", "solve_sqm_approx_star"]
@@ -48,16 +47,10 @@ def _g(p: np.ndarray | float) -> np.ndarray | float:
     return float(out) if np.isscalar(p) or arr.ndim == 0 else out
 
 
-@dataclass
-class Candidate:
-    slot: int
-    heuristic: float
-    gain: float
-
-
 class VoronoiTreeIndex:
     """Incremental k-NN state + best-first pruned argmax for one task.
 
+    The Approx* scorer of :func:`repro.core.greedy.solve_greedy`.
     ``costs`` may be updated between steps (multi-task rank bumps) via
     :meth:`update_cost`; k-NN state refreshes on :meth:`commit`.
     """
@@ -291,66 +284,13 @@ class VoronoiTreeIndex:
         return best
 
 
-def _best_single_subtask(
-    m: int, k: int, costs: np.ndarray, budget: float
-) -> tuple[int | None, float]:
-    """Algorithm 1 line 3: the affordable single subtask of highest quality.
-
-    With exactly one executed slot x, every other slot y has one real
-    neighbour at |y−x| plus (k−1) missing neighbours at distance m, so the
-    whole sweep vectorizes to O(m²).
-    """
-    cand = np.nonzero(np.isfinite(costs) & (costs <= budget))[0]
-    if len(cand) == 0:
-        return None, -np.inf
-    ys = np.arange(m)
-    dist = np.abs(ys[None, :] - cand[:, None]).astype(np.float64)
-    sums = dist + (k - 1) * m
-    p = np.clip((1.0 - sums / (k * m)) / m, 0.0, None)
-    gp = partial_quality(p)
-    rows = np.arange(len(cand))
-    gp[rows, cand] = _g(1.0 / m)
-    q = gp.sum(axis=1)
-    i = int(np.argmax(q))
-    return int(cand[i]), float(q[i])
-
-
 def solve_sqm_approx_star(
     ctx: TaskContext, budget: float, k: int, *, t_s: int = 4
 ) -> Assignment:
     """Approx*: Algorithm 1 driven by the Voronoi tree index."""
-    m = ctx.m
-    costs = ctx.base_costs()
-    idx = VoronoiTreeIndex(m, k, costs)
-    best_single, best_single_q = _best_single_subtask(m, k, costs, budget)
-
-    exec_slots: list[int] = []
-    spent = 0.0
-    while True:
-        cand = idx.best_candidate(budget - spent, t_s)
-        if cand is None:
-            break
-        exec_slots.append(cand.slot)
-        spent += float(costs[cand.slot])
-        idx.commit(cand.slot)
-
-    q_cur = idx.q_cur if exec_slots else 0.0
-    if best_single is not None and best_single_q > q_cur + EPS:
-        exec_slots, spent, q_cur = (
-            [best_single],
-            float(costs[best_single]),
-            best_single_q,
-        )
-    exec_slots = sorted(exec_slots)
-    stats = dict(idx.counters)
-    stats["timers"] = dict(idx.timers)
-    total = max(1, stats["candidates_total"])
-    stats["pruned_frac"] = 1.0 - stats["candidates_evaluated"] / total
-    return Assignment(
-        task_id=ctx.task_id,
-        exec_slots=exec_slots,
-        workers=[ctx.worker_at_rank(j, 0) for j in exec_slots],
-        cost=float(spent),
-        quality=float(q_cur),
-        stats=stats,
-    )
+    idx = VoronoiTreeIndex(ctx.m, k, ctx.base_costs())
+    a = solve_greedy(ctx, idx, budget, t_s=t_s)
+    a.stats["timers"] = dict(idx.timers)
+    total = max(1, a.stats["candidates_total"])
+    a.stats["pruned_frac"] = 1.0 - a.stats["candidates_evaluated"] / total
+    return a

@@ -10,7 +10,8 @@ DESIGN.md §5).
 The per-group result rows (one per executed subtask, plus a sentinel
 ``slot = −1`` row carrying the quality of tasks with no executions) are
 reassembled into a :class:`repro.core.multi_greedy.MultiResult` on the
-driver.
+driver.  Every row also carries its group's worker-conflict count (the
+serial greedy's rank bumps); the result reports their sum over groups.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from repro.workloads import Workload
 
 _OUT_SCHEMA = (
     "task_id long, group_id long, slot long, worker_id long, "
-    "cost double, quality double"
+    "cost double, quality double, conflicts long"
 )
 
 
@@ -62,12 +63,14 @@ def solve_msqm_group_parallel(
         for a in res.assignments:
             if a.exec_slots:
                 for slot, worker in zip(a.exec_slots, a.workers):
-                    rows.append((a.task_id, gid, slot, worker, a.cost, a.quality))
+                    rows.append((a.task_id, gid, slot, worker, a.cost, a.quality,
+                                 res.conflicts))
             else:
-                rows.append((a.task_id, gid, -1, -1, 0.0, a.quality))
+                rows.append((a.task_id, gid, -1, -1, 0.0, a.quality, res.conflicts))
         return pd.DataFrame(
             rows,
-            columns=["task_id", "group_id", "slot", "worker_id", "cost", "quality"],
+            columns=["task_id", "group_id", "slot", "worker_id", "cost",
+                     "quality", "conflicts"],
         )
 
     sdf = spark.createDataFrame(tasks)
@@ -94,14 +97,9 @@ def solve_msqm_group_parallel(
                 quality=float(grp["quality"].iloc[0]),
             )
         )
-    qs = [a.quality for a in assignments]
     result = MultiResult(
         assignments=assignments,
-        q_sum=float(sum(qs)),
-        q_min=float(min(qs)) if qs else 0.0,
-        total_cost=float(sum(a.cost for a in assignments)),
-        conflicts=0,
-        steps=sum(len(a.exec_slots) for a in assignments),
+        conflicts=int(out.groupby("group_id")["conflicts"].first().sum()),
         stats=dict(gstats),
     )
     return result, gstats

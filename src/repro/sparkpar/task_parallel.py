@@ -29,7 +29,7 @@ from pyspark.sql import SparkSession
 
 from repro.core.assignment import TaskContext, build_task_contexts
 from repro.core.greedy import Assignment
-from repro.core.multi_greedy import MultiResult
+from repro.core.multi_greedy import ClaimLedger, MultiResult
 from repro.core.quality import p_vector, quality_from_p
 from repro.core.tree_index import VoronoiTreeIndex
 from repro.workloads import Workload
@@ -50,16 +50,14 @@ def _make_propose_fn(ctxs: list[TaskContext], k: int, t_s: int, chain_len: int):
         exec_slots = json.loads(row["exec_json"])
         ranks = json.loads(row["ranks_json"])
         rem = float(row["rem_budget"])
-        costs = np.array(
-            [ctx.cost_at_rank(j, ranks.get(str(j), 0)) for j in range(ctx.m)]
-        )
+        costs = np.array([ctx.cost_at_rank(j, r) for j, r in enumerate(ranks)])
         idx = VoronoiTreeIndex(ctx.m, k, costs, initial_exec=exec_slots)
         out = []
         for ord_ in range(chain_len):
             cand = idx.best_candidate(rem, t_s)
             if cand is None:
                 break
-            r = ranks.get(str(cand.slot), 0)
+            r = ranks[cand.slot]
             out.append(
                 (
                     tid,
@@ -104,8 +102,7 @@ def solve_msqm_task_parallel(
     exec_slots: list[list[int]] = [[] for _ in range(n)]
     workers_of: list[list[int]] = [[] for _ in range(n)]
     spent_of = np.zeros(n)
-    ranks: list[dict[str, int]] = [dict() for _ in range(n)]
-    claimed: set[tuple[int, int]] = set()
+    ledger = ClaimLedger(ctxs)
     rem = float(budget)
     active = set(range(n))
     heartbeat: dict[int, float] = {}
@@ -120,7 +117,9 @@ def solve_msqm_task_parallel(
             {
                 "task_id": sorted(active),
                 "exec_json": [json.dumps(exec_slots[t]) for t in sorted(active)],
-                "ranks_json": [json.dumps(ranks[t]) for t in sorted(active)],
+                "ranks_json": [
+                    json.dumps(ledger.ranks[t].tolist()) for t in sorted(active)
+                ],
                 "rem_budget": rem,
             }
         )
@@ -158,19 +157,16 @@ def solve_msqm_task_parallel(
             t, e = heads[0]
             slot, worker, cost = int(e["slot"]), int(e["worker_id"]), float(e["cost"])
             heartbeat[t] = float(e["heuristic"])
-            if (worker, slot) in claimed:
+            if (worker, slot) in ledger.claimed:
                 # Conflict: the element's *gain* is unaffected (quality
                 # depends on slots, not workers), so reprice it at the next
                 # unclaimed rank — the paper's Conflicting-Table bump to the
                 # "k-th lowest cost" worker — and let it re-enter the merge
-                # at its new heuristic position.
-                r = int(e["rank"])
-                while True:
-                    r += 1
-                    w = ctxs[t].worker_at_rank(slot, r)
-                    if w == -1 or (w, slot) not in claimed:
-                        break
-                ranks[t][str(slot)] = r
+                # at its new heuristic position.  Only this loser is bumped:
+                # commits never bump rivals eagerly, which would reprice
+                # next round's proposals.
+                w = ledger.bump(t, slot)
+                r = int(ledger.ranks[t][slot])
                 bumps_this_round += 1
                 conflict_rows.append(
                     {"task_id": t, "slot": slot, "bumped_to_rank": r + 1,
@@ -200,7 +196,7 @@ def solve_msqm_task_parallel(
                      "reason": "budget"}
                 )
                 continue
-            claimed.add((worker, slot))
+            ledger.record(t, slot)
             exec_slots[t].append(slot)
             workers_of[t].append(worker)
             spent_of[t] += cost
@@ -227,7 +223,6 @@ def solve_msqm_task_parallel(
                 cost=float(spent_of[t]), quality=q,
             )
         )
-    qs = [a.quality for a in assignments]
     tables = {
         "heartbeat": pd.DataFrame(
             {"task_id": list(heartbeat), "heuristic": list(heartbeat.values())}
@@ -238,11 +233,7 @@ def solve_msqm_task_parallel(
     }
     result = MultiResult(
         assignments=assignments,
-        q_sum=float(sum(qs)),
-        q_min=float(min(qs)) if qs else 0.0,
-        total_cost=float(spent_of.sum()),
-        conflicts=len(conflict_rows),
-        steps=sum(len(a.exec_slots) for a in assignments),
+        conflicts=ledger.bumps,
         stats={"rounds": rounds},
     )
     return result, tables

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.core.assignment import TaskContext
 from repro.core.greedy import EPS
+from repro.core.multi_greedy import ClaimLedger
 from repro.core.quality import knn_distances, partial_quality
 
 __all__ = [
@@ -101,33 +102,6 @@ class StccResult:
     stats: dict = field(default_factory=dict)
 
 
-def _claim(
-    ctxs: list[TaskContext],
-    ranks: list[dict[int, int]],
-    claimed: set[tuple[int, int]],
-    i: int,
-    slot: int,
-) -> float:
-    """Claim task i's current-rank worker at ``slot``; bump rivals."""
-    r = ranks[i].get(slot, 0)
-    worker = ctxs[i].worker_at_rank(slot, r)
-    cost = ctxs[i].cost_at_rank(slot, r)
-    claimed.add((worker, slot))
-    for t, ctx in enumerate(ctxs):
-        if t == i:
-            continue
-        rt = ranks[t].get(slot, 0)
-        if ctx.worker_at_rank(slot, rt) != worker:
-            continue
-        while True:
-            rt += 1
-            w = ctx.worker_at_rank(slot, rt)
-            if w == -1 or (w, slot) not in claimed:
-                break
-        ranks[t][slot] = rt
-    return float(cost)
-
-
 def solve_stcc_greedy(
     ctxs: list[TaskContext],
     budget: float,
@@ -142,8 +116,7 @@ def solve_stcc_greedy(
     locs = np.array([[c.x, c.y] for c in ctxs])
     diag = float(domain * np.sqrt(2))
     exec_sets: list[set[int]] = [set() for _ in range(n)]
-    ranks: list[dict[int, int]] = [dict() for _ in range(n)]
-    claimed: set[tuple[int, int]] = set()
+    ledger = ClaimLedger(ctxs)
     spent = 0.0
     _, q_cur = stcc_quality(exec_sets, locs, m, k, w_s, w_t, diag)
     while True:
@@ -152,7 +125,7 @@ def solve_stcc_greedy(
             for slot in range(m):
                 if slot in exec_sets[i]:
                     continue
-                c = ctxs[i].cost_at_rank(slot, ranks[i].get(slot, 0))
+                c = ledger.cost(i, slot)
                 if not np.isfinite(c) or spent + c > budget:
                     continue
                 exec_sets[i].add(slot)
@@ -164,9 +137,8 @@ def solve_stcc_greedy(
         if best is None:
             break
         _, i, slot, q_new, _c = best
-        cost = _claim(ctxs, ranks, claimed, i, slot)
+        spent += ledger.claim(i, slot)[1]
         exec_sets[i].add(slot)
-        spent += cost
         q_cur = q_new
     q, q_sum = stcc_quality(exec_sets, locs, m, k, w_s, w_t, diag)
     return StccResult(
@@ -194,19 +166,17 @@ def solve_stcc_rand(
     locs = np.array([[c.x, c.y] for c in ctxs])
     diag = float(domain * np.sqrt(2))
     exec_sets: list[set[int]] = [set() for _ in range(n)]
-    ranks: list[dict[int, int]] = [dict() for _ in range(n)]
-    claimed: set[tuple[int, int]] = set()
+    ledger = ClaimLedger(ctxs)
     g = np.random.default_rng(seed)
     pairs = [(i, s) for i in range(n) for s in ctxs[i].assignable_slots()]
     g.shuffle(pairs)
     spent = 0.0
     for i, slot in pairs:
-        c = ctxs[i].cost_at_rank(int(slot), ranks[i].get(int(slot), 0))
+        c = ledger.cost(i, int(slot))
         if not np.isfinite(c) or spent + c > budget:
             continue
-        cost = _claim(ctxs, ranks, claimed, i, int(slot))
+        spent += ledger.claim(i, int(slot))[1]
         exec_sets[i].add(int(slot))
-        spent += cost
     q, q_sum = stcc_quality(exec_sets, locs, m, k, w_s, w_t, diag)
     return StccResult(
         exec_sets=exec_sets,
@@ -256,19 +226,17 @@ def solve_stcc_opt(
         for combo in itertools.combinations(range(len(pairs)), r):
             if base_costs[list(combo)].sum() > budget * 1.5:
                 continue  # cheap reject; exact cost checked below
-            ranks = [dict() for _ in range(n)]
-            claimed: set[tuple[int, int]] = set()
+            ledger = ClaimLedger(ctxs)
             exec_sets = [set() for _ in range(n)]
             spent = 0.0
             ok = True
             for ci in combo:
                 i, slot = pairs[ci]
-                rk = ranks[i].get(slot, 0)
-                c = ctxs[i].cost_at_rank(slot, rk)
+                c = ledger.cost(i, slot)
                 if not np.isfinite(c) or spent + c > budget:
                     ok = False
                     break
-                spent += _claim(ctxs, ranks, claimed, i, slot)
+                spent += ledger.claim(i, slot)[1]
                 exec_sets[i].add(slot)
             if not ok:
                 continue

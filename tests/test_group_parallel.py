@@ -59,6 +59,17 @@ class TestGroupParallel:
         rg, _ = solve_msqm_group_parallel(spark, wl, b, 3)
         assert rg.q_sum >= 0.9 * rs.q_sum
 
+    def test_conflicts_match_serial_on_one_group(self, spark):
+        """With every task in one conflict group, group-parallel runs serial
+        MSQM on the whole budget and must report its rank bumps."""
+        wl, ctxs, b = _instance(n_tasks=6, n_workers=60, m=12, seed=0,
+                                dist="gaussian")
+        rg, gstats = solve_msqm_group_parallel(spark, wl, b, 3)
+        assert gstats["n_groups"] == 1
+        rs = solve_msqm_serial(ctxs, b, 3)
+        assert rs.conflicts > 0
+        assert rg.conflicts == rs.conflicts
+
     def test_stats_populated(self, spark):
         wl, _, b = _instance(seed=2)
         r, gstats = solve_msqm_group_parallel(spark, wl, b, 3)

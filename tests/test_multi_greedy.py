@@ -2,8 +2,13 @@
 import numpy as np
 import pytest
 
-from repro.core.assignment import average_task_cost, build_task_contexts
+from repro.core.assignment import (
+    TaskContext,
+    average_task_cost,
+    build_task_contexts,
+)
 from repro.core.multi_greedy import (
+    ClaimLedger,
     solve_mmqm,
     solve_msqm_serial,
     solve_multi_rand,
@@ -132,3 +137,74 @@ class TestMultiRand:
         assert [a.exec_slots for a in r1.assignments] == [
             a.exec_slots for a in r2.assignments
         ]
+
+
+def _ctx(task_id, workers, costs, m=2):
+    """A task whose candidates at every slot are ``workers`` (ascending cost)."""
+    return TaskContext(
+        task_id=task_id, x=0.0, y=0.0, m=m,
+        slot_workers=[np.asarray(workers, dtype=np.int64)] * m,
+        slot_costs=[np.asarray(costs, dtype=np.float64)] * m,
+    )
+
+
+class TestClaimLedger:
+    """The Conflicting Table shared by every multi-task solver."""
+
+    def test_bump_skips_claimed_workers(self):
+        ctxs = [_ctx(0, [10, 11, 12], [1.0, 2.0, 3.0]),
+                _ctx(1, [11, 10, 12], [1.0, 2.0, 3.0])]
+        ledger = ClaimLedger(ctxs)
+        ledger.claim(1, 0)  # task 1 takes worker 11 at slot 0
+        assert ledger.worker(0, 0) == 10
+        ledger.record(0, 0)  # task 0 takes worker 10 without bumping
+        # Task 1's next rank is worker 10, already claimed: skip to 12.
+        assert ledger.bump(1, 0) == 12
+        assert ledger.ranks[1][0] == 2
+        assert ledger.cost(1, 0) == 3.0
+        assert ledger.bumps == 1
+
+    def test_bump_past_top_r_is_unassignable(self):
+        ctxs = [_ctx(0, [10, 11], [1.0, 2.0]), _ctx(1, [10, 11], [1.0, 2.0])]
+        ledger = ClaimLedger(ctxs)
+        ledger.claim(0, 0)  # takes 10, bumps task 1 to 11
+        ledger.claim(0, 1)
+        assert ledger.worker(1, 0) == 11
+        assert ledger.bump(1, 0) == -1  # only two candidates retained
+        assert ledger.worker(1, 0) == -1
+        assert ledger.cost(1, 0) == np.inf
+
+    def test_claim_returns_exactly_the_bumped_rivals(self):
+        ctxs = [_ctx(0, [10, 11], [1.0, 2.0]),
+                _ctx(1, [10, 12], [1.0, 2.0]),
+                _ctx(2, [11, 10], [1.0, 2.0]),
+                _ctx(3, [10, 11], [1.0, 2.0])]
+        ledger = ClaimLedger(ctxs)
+        worker, cost, rivals = ledger.claim(0, 1)
+        assert (worker, cost) == (10, 1.0)
+        assert rivals == [1, 3]  # task 2's current worker is 11
+        assert [ledger.worker(t, 1) for t in range(4)] == [10, 12, 11, 11]
+        assert [ledger.worker(t, 0) for t in range(4)] == [10, 10, 11, 10]
+        assert ledger.bumps == 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_no_pair_claimed_twice(self, seed):
+        """Any claim sequence over distinct (task, slot) pairs takes
+        distinct (worker, slot) pairs, and a repeated claim is refused."""
+        _, ctxs, _ = _instance(n_tasks=10, n_workers=40, m=12, seed=seed,
+                               dist="gaussian")
+        ledger = ClaimLedger(ctxs)
+        rng = np.random.default_rng(seed)
+        pairs = [(i, j) for i in range(len(ctxs)) for j in range(12)]
+        taken, owners = [], []
+        for p in rng.permutation(len(pairs)):
+            i, slot = pairs[p]
+            if ledger.worker(i, slot) == -1:
+                continue
+            worker, _, _ = ledger.claim(i, slot)
+            taken.append((worker, slot))
+            owners.append(i)
+        assert len(taken) == len(set(taken)) == len(ledger.claimed)
+        assert ledger.bumps > 0
+        with pytest.raises(ValueError):
+            ledger.record(owners[0], taken[0][1])

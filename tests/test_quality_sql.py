@@ -67,3 +67,24 @@ class TestSubtasksPdf:
         pdf = subtasks_pdf({3: {0, 4}}, 6)
         ex = pdf[pdf.executed].slot.tolist()
         assert sorted(ex) == [0, 4]
+
+
+class TestOracle:
+    """The DuckDB oracle itself: it must agree with a correct Spark result
+    and reject a wrong one."""
+
+    EXEC = {0: {1, 4}, 1: {0, 7}, 2: set()}
+    M, K = 9, 2
+
+    def test_agg_query_equivalence(self, spark):
+        pdf = subtasks_pdf(self.EXEC, self.M)
+        out = task_quality_df(spark, spark.createDataFrame(pdf), self.K, self.M)
+        assert_equivalent(out, quality_sql(self.K, self.M), subtasks=pdf)
+
+    def test_oracle_catches_wrong_result(self, spark):
+        pdf = subtasks_pdf(self.EXEC, self.M)
+        wrong = task_quality_df(
+            spark, spark.createDataFrame(pdf), self.K, self.M
+        ).selectExpr("task_id", "quality + 1 AS quality")
+        with pytest.raises(AssertionError):
+            assert_equivalent(wrong, quality_sql(self.K, self.M), subtasks=pdf)
