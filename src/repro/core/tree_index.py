@@ -25,10 +25,17 @@ paper describes:
 Affected-region bounds use two monotone arrays: ``M(y) = max_{y'≤y} (y'+d_k)``
 and ``N(y) = min_{y'≥y} (y'−d_k)``, both nondecreasing, so the superset window
 of any segment's influence is found by binary search.
+
+A leaf's stale candidates are evaluated together, in one vectorized pass over
+their affected windows.  The per-node bound lookups are scalar, so the state
+they read (``M``, ``N``, the bound prefix sums and the range-min sparse
+tables) is also kept as Python lists.
 """
 from __future__ import annotations
 
+import bisect
 import heapq
+import math
 import time
 
 import numpy as np
@@ -40,11 +47,19 @@ from repro.core.quality import knn_distances, partial_quality
 __all__ = ["VoronoiTreeIndex", "solve_sqm_approx_star"]
 
 
-def _g(p: np.ndarray | float) -> np.ndarray | float:
-    """Entropy contribution −p·log2 p (0 at p ≤ 0)."""
-    arr = np.asarray(p, dtype=np.float64)
-    out = partial_quality(arr)
-    return float(out) if np.isscalar(p) or arr.ndim == 0 else out
+def _sparse_table(values: np.ndarray) -> list[list[float]]:
+    """Range-min sparse table: level ``j`` holds ``min(values[i : i + 2**j])``."""
+    table = [values]
+    while 2 * (half := 1 << (len(table) - 1)) <= len(values):
+        prev = table[-1]
+        table.append(np.minimum(prev[:-half], prev[half:]))
+    return [level.tolist() for level in table]
+
+
+def _range_min(table: list[list[float]], l: int, r: int) -> float:
+    lvl = (r - l + 1).bit_length() - 1
+    row = table[lvl]
+    return min(row[l], row[r - (1 << lvl) + 1])
 
 
 class VoronoiTreeIndex:
@@ -66,6 +81,8 @@ class VoronoiTreeIndex:
         self.is_exec = np.zeros(m, dtype=bool)
         self.is_exec[self.exec_sorted] = True
         self.q_cur = 0.0
+        # g(1/m) = −(1/m)·log2(1/m): an executed slot's entropy contribution.
+        self.g_exec = float(-(1.0 / m) * np.log2(1.0 / m))
         self.timers = {"index": 0.0, "interp": 0.0, "refresh": 0.0}
         self.counters = {
             "candidates_evaluated": 0,
@@ -82,6 +99,7 @@ class VoronoiTreeIndex:
         self.gain_last = np.zeros(m)
         self.win_lo = np.zeros(m, dtype=np.int64)
         self.win_hi = np.zeros(m, dtype=np.int64)
+        self._rmq_cost = _sparse_table(self.costs)
         self._refresh()
 
     # ---------------------------------------------------------------- state
@@ -92,52 +110,34 @@ class VoronoiTreeIndex:
         D, IDX = knn_distances(self.exec_sorted, m, k, slots)
         self.D_sum = D.sum(axis=1)
         self.dk = D[:, -1].copy()
-        self.IDX = IDX
+        # Sorted rows compare equal exactly when the k-NN sets do: every row
+        # holds the same number of missing (−1) neighbours.
+        self._knn = np.sort(IDX, axis=1).tolist()
         p = (1.0 - self.D_sum / (k * m)) / m
         p[self.is_exec] = 1.0 / m
         # Executed slots are never "affected" by a tentative execution.
         self.dk[self.is_exec] = 0.0
         self.p = np.clip(p, 0.0, None)
-        self.g_p = _g(self.p)
+        self.g_p = partial_quality(self.p)
         s_km1 = self.D_sum - D[:, -1]
         rho_lb = (s_km1 + 1.0) / (k * m)
         pub = np.clip((1.0 - rho_lb) / m, 0.0, 1.0 / m)
         pub[self.is_exec] = 1.0 / m
-        diff = np.clip(_g(pub) - self.g_p, 0.0, None)
+        diff = np.clip(partial_quality(pub) - self.g_p, 0.0, None)
         diff[self.is_exec] = 0.0
-        self.prefix_diff = np.concatenate([[0.0], np.cumsum(diff)])
+        self._prefix_diff = [0.0] + np.cumsum(diff).tolist()
         self.M = np.maximum.accumulate(slots + self.dk)
         self.N = np.minimum.accumulate((slots - self.dk)[::-1])[::-1]
+        self._M, self._N = self.M.tolist(), self.N.tolist()
         self.q_cur = float(self.g_p.sum())
-        self._build_rmq()
+        self._rmq_gp = _sparse_table(self.g_p)
         self.timers["refresh"] += time.perf_counter() - t0
-
-    def _build_rmq(self) -> None:
-        """Sparse tables for range-min of g_p and of costs."""
-        m = self.m
-        levels = max(1, m.bit_length())
-        self._rmq_gp = [self.g_p.copy()]
-        self._rmq_cost = [self.costs.copy()]
-        for lvl in range(1, levels):
-            half = 1 << (lvl - 1)
-            prev_g, prev_c = self._rmq_gp[-1], self._rmq_cost[-1]
-            if half >= len(prev_g):
-                break
-            self._rmq_gp.append(np.minimum(prev_g[:-half], prev_g[half:]))
-            self._rmq_cost.append(np.minimum(prev_c[:-half], prev_c[half:]))
-
-    def _range_min(self, table: list[np.ndarray], l: int, r: int) -> float:
-        span = r - l + 1
-        lvl = span.bit_length() - 1
-        lvl = min(lvl, len(table) - 1)
-        half = 1 << lvl
-        return float(min(table[lvl][l], table[lvl][r - half + 1]))
 
     def update_cost(self, slot: int, new_cost: float) -> None:
         """Rank-bumped travel cost for ``slot`` (multi-task conflicts)."""
         self.costs[slot] = new_cost
         self.h_valid[slot] = False
-        self._build_rmq()
+        self._rmq_cost = _sparse_table(self.costs)
 
     def commit(self, slot: int) -> None:
         """Execute ``slot`` and refresh all k-NN state.
@@ -161,48 +161,61 @@ class VoronoiTreeIndex:
     # ------------------------------------------------------------- windows
     def _window(self, l: int, r: int) -> tuple[int, int]:
         """Superset of slots affected by executing any slot in [l, r]."""
-        lo = int(np.searchsorted(self.M, l, side="right"))
-        hi = int(np.searchsorted(self.N, r, side="left")) - 1
+        lo = bisect.bisect_right(self._M, l)
+        hi = bisect.bisect_left(self._N, r) - 1
         return min(lo, l), max(hi, r)
 
     # ------------------------------------------------------------- bounds
     def _node_ub(self, l: int, r: int, rem_budget: float) -> float:
-        min_cost = self._range_min(self._rmq_cost, l, r)
-        if not np.isfinite(min_cost) or min_cost > rem_budget:
-            return -np.inf
-        own = _g(1.0 / self.m) - self._range_min(self._rmq_gp, l, r)
+        min_cost = _range_min(self._rmq_cost, l, r)
+        if not math.isfinite(min_cost) or min_cost > rem_budget:
+            return -math.inf
+        own = self.g_exec - _range_min(self._rmq_gp, l, r)
         lo, hi = self._window(l, r)
-        nb = float(self.prefix_diff[hi + 1] - self.prefix_diff[lo])
+        nb = self._prefix_diff[hi + 1] - self._prefix_diff[lo]
         gain = max(0.0, own) + nb
         return gain / max(min_cost, EPS)
 
     # --------------------------------------------------------------- exact
-    def exact_heuristic(self, x: int) -> Candidate:
-        """Exact Δq/cost of tentatively executing ``x`` (affected-region only)."""
+    def exact_heuristic(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact Δq/cost and Δq of tentatively executing each slot of ``xs``.
+
+        Each candidate gets one row of ``w`` consecutive slots covering its
+        affected window, ``w`` being the widest window; a mask keeps the slots
+        whose k-NN set the candidate changes, and one masked row sum gives
+        every Δq.
+        """
         t0 = time.perf_counter()
         m, k = self.m, self.k
-        lo, hi = self._window(x, x)
-        ys = np.arange(lo, hi + 1)
-        d = np.abs(ys - x).astype(np.float64)
-        mask = (~self.is_exec[ys]) & (ys != x) & (d < self.dk[ys])
-        ys, d = ys[mask], d[mask]
-        new_sum = self.D_sum[ys] - self.dk[ys] + d
-        new_p = np.clip((1.0 - new_sum / (k * m)) / m, 0.0, None)
-        gain = float((_g(new_p) - self.g_p[ys]).sum())
-        gain += _g(1.0 / m) - float(self.g_p[x])
-        self.counters["interp_ops"] += hi - lo + 1
+        lo = np.minimum(self.M.searchsorted(xs, side="right"), xs)
+        hi = np.maximum(self.N.searchsorted(xs, side="left") - 1, xs)
+        span = hi - lo
+        w = int(span.max()) + 1
+        # Rows start early enough to end inside the timeline.  Slots a row
+        # holds outside its own window are unaffected (|y − x| ≥ d_k(y)), and
+        # executed slots have d_k = 0, so ``d < dk`` masks both out.
+        ys = np.minimum(lo, m - w)[:, None] + np.arange(w)
+        d = np.abs(ys - xs[:, None])
+        dk = self.dk[ys]
+        mask = (d < dk) & (ys != xs[:, None])
+        # Under the mask new_sum < D_sum ≤ k·m, so new_p > 0; 1.0 fills the
+        # rest to keep log2 finite.
+        new_p = np.where(mask, (1.0 - (self.D_sum[ys] - dk + d) / (k * m)) / m, 1.0)
+        terms = np.where(mask, -new_p * np.log2(new_p) - self.g_p[ys], 0.0)
+        gain = terms.sum(axis=1) + (self.g_exec - self.g_p[xs])
+        self.counters["interp_ops"] += int(span.sum()) + len(xs)
         self.timers["interp"] += time.perf_counter() - t0
-        h = gain / float(self.costs[x])
-        self.h_valid[x] = True
-        self.h_last[x] = h
-        self.gain_last[x] = gain
-        self.win_lo[x], self.win_hi[x] = lo, hi
-        return Candidate(slot=x, heuristic=h, gain=gain)
+        h = gain / self.costs[xs]
+        self.h_valid[xs] = True
+        self.h_last[xs] = h
+        self.gain_last[xs] = gain
+        self.win_lo[xs], self.win_hi[xs] = lo, hi
+        return h, gain
 
     def _same_knn_endpoints(self, l: int, r: int) -> bool:
         """Stopping condition 1: knn(l) == knn(r) ⇒ whole segment is one
         order-k Voronoi cell (Lemma 8)."""
-        return set(self.IDX[l].tolist()) == set(self.IDX[r].tolist())
+        return self._knn[l] == self._knn[r]
 
     # -------------------------------------------------------------- search
     def best_candidate(self, rem_budget: float, t_s: int) -> Candidate | None:
@@ -226,10 +239,10 @@ class VoronoiTreeIndex:
             best = Candidate(slot=x0, heuristic=float(self.h_last[x0]),
                              gain=float(self.gain_last[x0]))
         # Subtrees holding no stale affordable candidate are skipped outright
-        # (the paper's "otherwise, the entire subtree is skipped").
-        stale_ps = np.concatenate(
-            [[0], np.cumsum(afford & ~self.h_valid)]
-        )
+        # (the paper's "otherwise, the entire subtree is skipped"), so every
+        # node on the heap holds at least one.
+        stale = afford & ~self.h_valid
+        stale_ps = [0] + np.cumsum(stale).tolist()
 
         def _has_stale(l: int, r: int) -> bool:
             return stale_ps[r + 1] > stale_ps[l]
@@ -238,7 +251,7 @@ class VoronoiTreeIndex:
         tie = 0
         root_ub = self._node_ub(0, m - 1, rem_budget)
         if (
-            np.isfinite(root_ub)
+            math.isfinite(root_ub)
             and _has_stale(0, m - 1)
             and (best is None or root_ub >= best.heuristic - EPS)
         ):
@@ -252,22 +265,17 @@ class VoronoiTreeIndex:
             is_leaf = (r - l + 1) <= t_s or self._same_knn_endpoints(l, r)
             if is_leaf:
                 self.timers["index"] += time.perf_counter() - t0
-                for x in range(l, r + 1):
-                    if not afford[x]:
-                        continue
-                    if self.h_valid[x]:
-                        continue  # already counted via the cached seed
-                    cand = self.exact_heuristic(x)
-                    self.counters["candidates_evaluated"] += 1
+                xs = l + np.flatnonzero(stale[l : r + 1])
+                hs, gains = self.exact_heuristic(xs)
+                self.counters["candidates_evaluated"] += len(xs)
+                # Slot order, as a sequential scan: within EPS the lower slot wins.
+                for x, h, gain in zip(xs.tolist(), hs.tolist(), gains.tolist()):
                     if (
                         best is None
-                        or cand.heuristic > best.heuristic + EPS
-                        or (
-                            abs(cand.heuristic - best.heuristic) <= EPS
-                            and cand.slot < best.slot
-                        )
+                        or h > best.heuristic + EPS
+                        or (abs(h - best.heuristic) <= EPS and x < best.slot)
                     ):
-                        best = cand
+                        best = Candidate(slot=x, heuristic=h, gain=gain)
                 t0 = time.perf_counter()
             else:
                 mid = (l + r) // 2
@@ -275,7 +283,7 @@ class VoronoiTreeIndex:
                     if not _has_stale(cl, cr):
                         continue
                     ub_c = self._node_ub(cl, cr, rem_budget)
-                    if np.isfinite(ub_c) and (
+                    if math.isfinite(ub_c) and (
                         best is None or ub_c >= best.heuristic - EPS
                     ):
                         tie += 1

@@ -43,22 +43,30 @@ class TestIndexState:
         with pytest.raises(ValueError):
             VoronoiTreeIndex(2, 1, np.ones(2))
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_exact_heuristic_matches_full_recompute(self, seed):
-        """Locality-based Δq must equal the full q(T∪{x}) − q(T) recompute."""
+    @pytest.mark.parametrize(
+        "seed,n_exec",
+        [pytest.param(seed, 7, id=str(seed)) for seed in range(5)]
+        # Fewer executed slots than k = 3: missing neighbours sit at distance
+        # m, so windows span the whole timeline and rows differ in width.
+        + [pytest.param(0, n, id=f"exec{n}") for n in (0, 1, 2)],
+    )
+    def test_exact_heuristic_matches_full_recompute(self, seed, n_exec):
+        """Locality-based Δq must equal the full q(T∪{x}) − q(T) recompute,
+        for every unexecuted slot evaluated in one batch."""
         rng = np.random.default_rng(seed)
         m, k = 40, 3
-        ex = sorted(rng.choice(m, size=7, replace=False).tolist())
+        ex = sorted(rng.choice(m, size=n_exec, replace=False).tolist())
         costs = rng.uniform(1, 10, m)
         idx = _index_with(m, k, ex, costs)
-        q0 = quality_from_p(p_vector(np.array(ex), m, k))
-        for x in range(m):
-            if x in ex:
-                continue
-            cand = idx.exact_heuristic(x)
+        q0 = quality_from_p(p_vector(np.array(ex, dtype=np.int64), m, k))
+        xs = np.array([x for x in range(m) if x not in ex])
+        hs, gains = idx.exact_heuristic(xs)
+        assert len(hs) == len(gains) == len(xs)
+        for x, h, gain in zip(xs, hs, gains):
             q1 = quality_from_p(p_vector(np.array(sorted(ex + [x])), m, k))
-            assert cand.gain == pytest.approx(q1 - q0, abs=1e-9)
-            assert cand.heuristic == pytest.approx((q1 - q0) / costs[x], abs=1e-9)
+            assert gain == pytest.approx(q1 - q0, abs=1e-9)
+            assert h == pytest.approx((q1 - q0) / costs[x], abs=1e-9)
+        assert idx.h_valid[xs].all()
 
 
 class TestUpperBounds:
@@ -78,8 +86,29 @@ class TestUpperBounds:
             for x in range(l, r + 1):
                 if idx.is_exec[x]:
                     continue
-                h = idx.exact_heuristic(x).heuristic
+                h = idx.exact_heuristic(np.array([x]))[0][0]
                 assert ub >= h - 1e-9, (l, r, x, ub, h)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_node_ub_after_update_cost_matches_fresh_index(self, seed):
+        """``update_cost`` leaves the bounds a fresh index with the new
+        costs and the same executed slots would compute."""
+        rng = np.random.default_rng(seed + 31)
+        m, k = 48, 3
+        ex = sorted(rng.choice(m, size=4, replace=False).tolist())
+        costs = rng.uniform(1, 5, m)
+        idx = _index_with(m, k, ex, costs)
+        for x in rng.choice(np.setdiff1d(np.arange(m), ex), size=2, replace=False):
+            idx.commit(int(x))
+        for slot in rng.choice(m, size=6, replace=False):
+            costs[slot] = rng.uniform(0.1, 8)  # below and above the rest
+            idx.update_cost(int(slot), float(costs[slot]))
+        fresh = _index_with(m, k, idx.exec_sorted.tolist(), costs)
+        for _ in range(40):
+            l = int(rng.integers(0, m))
+            r = int(rng.integers(l, m))
+            for b in (np.inf, 2.0):
+                assert idx._node_ub(l, r, b) == fresh._node_ub(l, r, b), (l, r, b)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_window_superset_of_affected(self, seed):
@@ -115,9 +144,22 @@ class TestBestCandidate:
         for x in range(m):
             if ref.is_exec[x]:
                 continue
-            h = ref.exact_heuristic(x).heuristic
+            h = ref.exact_heuristic(np.array([x]))[0][0]
             best_h = max(best_h, h)
         assert cand.heuristic == pytest.approx(best_h, rel=1e-9)
+
+    @pytest.mark.parametrize("t_s", [2, 20])
+    @pytest.mark.parametrize("ex", [[], [0, 19], [4, 15]])
+    def test_ties_go_to_lowest_slot(self, t_s, ex):
+        """Mirror-symmetric instances tie pairwise; as in Approx, the lowest
+        slot within EPS wins, inside one leaf (t_s = m) and across leaves."""
+        m = 20
+        cand = _index_with(m, 2, ex).best_candidate(np.inf, t_s)
+        ref = _index_with(m, 2, ex)
+        xs = np.array([x for x in range(m) if x not in ex])
+        hs, _ = ref.exact_heuristic(xs)
+        assert cand.slot == int(xs[np.flatnonzero(hs >= hs.max() - 1e-12)[0]])
+        assert cand.slot < m - 1 - cand.slot
 
     def test_no_affordable_candidates_returns_none(self):
         idx = _index_with(10, 2, [4], costs=np.full(10, 100.0))
@@ -146,6 +188,7 @@ EQUIVALENCE_CASES = [
     # The budget affords single subtasks only, so the line-3 fallback
     # decides; mirror slots 29 and 30 tie to within one ulp.
     pytest.param("gaussian", 3, 300, 60, 3, 0.005, id="gaussian-3-fallback-tie"),
+    pytest.param("gaussian", 1, 600, 120, 3, 0.25, id="gaussian-1-m120"),
 ]
 
 
@@ -188,6 +231,26 @@ class TestApproxStarSolver:
         assert 0.0 <= s.stats["pruned_frac"] <= 1.0
         assert s.stats["candidates_evaluated"] > 0
         assert s.stats["steps"] == len(s.exec_slots) or s.stats["steps"] >= 1
+
+    @pytest.mark.parametrize(
+        "kwargs,expected",
+        [
+            (dict(n_workers=300, m=60, seed=6), (563, 1237, 294, 18775, 27)),
+            (dict(n_workers=1000, m=200, seed=0), (2662, 13711, 3071, 193742, 89)),
+            (dict(n_workers=600, m=120, seed=1, dist="gaussian"),
+             (1383, 4632, 810, 71664, 49)),
+        ],
+        ids=["m60", "m200", "gaussian-m120"],
+    )
+    def test_search_counters_pinned(self, kwargs, expected):
+        """The search visits the same nodes and evaluates the same
+        candidates as the one-candidate-at-a-time evaluation did (the
+        counters behind Fig 8(c)/8(d))."""
+        ctx = build_task_contexts(gen_workload(n_tasks=1, **kwargs))[0]
+        s = solve_sqm_approx_star(ctx, 0.25 * average_task_cost([ctx]), 3)
+        keys = ("candidates_evaluated", "candidates_total", "nodes_expanded",
+                "interp_ops", "steps")
+        assert tuple(s.stats[k] for k in keys) == expected
 
     def test_larger_m_prunes_more(self):
         """The paper's Fig 8(d) shape: pruning ratio grows with m."""
