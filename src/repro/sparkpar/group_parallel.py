@@ -1,11 +1,13 @@
 """Group-level parallelization of MSQM (Section IV-A-1) on Spark.
 
 Independent conflict groups (from :mod:`repro.sparkpar.conflict_graph`) are
-optimized concurrently: tasks tagged with their group id are grouped with
-``groupBy("group_id").applyInPandas`` and each group runs the serial MSQM
-greedy in its own Spark task.  The global budget is split across groups
-proportionally to group size (the paper does not specify the split —
-DESIGN.md §5).
+optimized concurrently: one state row per group (its id and its tasks' ids,
+locations and slot counts as array columns) goes through a ``mapInPandas``
+stage, and each row runs the serial MSQM greedy on its group.  The state
+frame needs no shuffle, so the groups' rows spread over the cores; the
+workers frame travels to the executors once per solve, as a broadcast
+variable.  The global budget is split across groups proportionally to group
+size (the paper does not specify the split — DESIGN.md §5).
 
 The per-group result rows (one per executed subtask, plus a sentinel
 ``slot = −1`` row carrying the quality of tasks with no executions) are
@@ -24,6 +26,13 @@ from repro.core.multi_greedy import MultiResult, solve_msqm_serial
 from repro.sparkpar.conflict_graph import build_groups
 from repro.workloads import Workload
 
+_STATE_SCHEMA = (
+    "group_id long, task_id array<long>, x array<double>, y array<double>, "
+    "m array<long>"
+)
+_OUT_COLUMNS = [
+    "task_id", "group_id", "slot", "worker_id", "cost", "quality", "conflicts",
+]
 _OUT_SCHEMA = (
     "task_id long, group_id long, slot long, worker_id long, "
     "cost double, quality double, conflicts long"
@@ -43,22 +52,28 @@ def solve_msqm_group_parallel(
 ) -> tuple[MultiResult, dict]:
     """MSQM via per-conflict-group parallel greedy.  Returns (result, stats)."""
     groups, _, gstats = build_groups(spark, wl, top_r=top_r)
-    tasks = wl.tasks.merge(groups, on="task_id")
+    state = (
+        wl.tasks.merge(groups, on="task_id")
+        .sort_values("task_id")
+        .groupby("group_id")[["task_id", "x", "y", "m"]]
+        .agg(list)
+        .reset_index()
+    )
     n_total = wl.n_tasks
-    workers_pdf = wl.workers
     m, domain = wl.m, wl.domain
 
-    def run_group(pdf: pd.DataFrame) -> pd.DataFrame:
+    def run_group(g) -> list[tuple]:
+        """Serial MSQM on one group's state row: its result rows."""
         sub_wl = Workload(
-            tasks=pdf[["task_id", "x", "y", "m"]].reset_index(drop=True),
-            workers=workers_pdf,
+            tasks=pd.DataFrame({"task_id": g.task_id, "x": g.x, "y": g.y, "m": g.m}),
+            workers=workers_bc.value,
             m=m,
             domain=domain,
         )
         ctxs = build_task_contexts(sub_wl, top_r=top_r)
-        gb = budget * len(pdf) / n_total
+        gb = budget * len(sub_wl.tasks) / n_total
         res = solve_msqm_serial(ctxs, gb, k, t_s=t_s, use_index=use_index)
-        gid = int(pdf["group_id"].iloc[0])
+        gid = int(g.group_id)
         rows = []
         for a in res.assignments:
             if a.exec_slots:
@@ -67,18 +82,21 @@ def solve_msqm_group_parallel(
                                  res.conflicts))
             else:
                 rows.append((a.task_id, gid, -1, -1, 0.0, a.quality, res.conflicts))
-        return pd.DataFrame(
-            rows,
-            columns=["task_id", "group_id", "slot", "worker_id", "cost",
-                     "quality", "conflicts"],
-        )
+        return rows
 
-    sdf = spark.createDataFrame(tasks)
-    if num_partitions:
-        sdf = sdf.repartition(num_partitions, "group_id")
-    out = (
-        sdf.groupBy("group_id").applyInPandas(run_group, _OUT_SCHEMA).toPandas()
-    )
+    def run_groups(batches):
+        for pdf in batches:
+            rows = [r for g in pdf.itertuples(index=False) for r in run_group(g)]
+            yield pd.DataFrame(rows, columns=_OUT_COLUMNS)
+
+    workers_bc = spark.sparkContext.broadcast(wl.workers)
+    try:
+        sdf = spark.createDataFrame(state, _STATE_SCHEMA)
+        if num_partitions:
+            sdf = sdf.repartition(num_partitions, "group_id")
+        out = sdf.mapInPandas(run_groups, _OUT_SCHEMA).toPandas()
+    finally:
+        workers_bc.unpersist()
 
     assignments = []
     for tid, grp in out.groupby("task_id"):

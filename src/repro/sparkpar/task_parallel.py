@@ -6,50 +6,55 @@ slot, and the k-th-NN rank they are at), and a Logging Table; worker threads
 run per-task greedy steps and synchronize with the master on conflicts; the
 committed plan is deterministic — consistent with the serialized Algorithm 1.
 
-Spark expression (DESIGN.md §3): worker threads become a
-``groupBy("task_id").applyInPandas`` stage that, each round, rebuilds the
-task's Voronoi tree index from its committed state and emits a *chain* of up
-to ``chain_len`` sequential greedy proposals (slot, worker rank, cost, Δq/c).
-Within one task a chain is exactly its greedy continuation; across tasks,
-marginal gains are independent except through worker claims — so the master
-(driver) merging all chains in descending heuristic order and committing
-until a conflict, budget miss, or chain end reproduces the serial greedy
-order.  On a conflict the loser's chain is truncated, its rank for that slot
-is bumped in the Conflicting Table (1-NN → 2-NN → …), and it re-proposes next
-round.  ``priority=False`` disables the paper's priority adjustment (Fig 9f):
-chains are merged in task-id order instead of by heuristic value.
+Spark expression (DESIGN.md §3): worker threads become a ``mapInPandas``
+stage over one state row per active task (task id, executed slots and
+per-slot worker ranks as ``array<long>`` columns, remaining budget).  The
+state frame needs no shuffle, so each round is one Spark job of one stage
+whose tasks run on all cores.  The task contexts travel to the executors
+once per solve, as a broadcast variable.  For each row the stage rebuilds
+the task's Voronoi tree index from its committed state and emits a *chain*
+of up to ``chain_len`` sequential greedy proposals (slot, worker rank, cost,
+Δq/c).  Within one task a chain is exactly its greedy continuation; across
+tasks, marginal gains are independent except through worker claims — so the
+master (driver) merging all chains in descending heuristic order (a heap of
+chain heads) and committing until a conflict, budget miss, or chain end
+reproduces the serial greedy order.  On a conflict the loser's chain is
+truncated, its rank for that slot is bumped in the Conflicting Table (1-NN →
+2-NN → …), and it re-proposes next round.  ``priority=False`` disables the
+paper's priority adjustment (Fig 9f): chains are merged in task-id order
+instead of by heuristic value.
 """
 from __future__ import annotations
 
-import json
+import heapq
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.assignment import TaskContext, build_task_contexts
+from repro.core.assignment import build_task_contexts
 from repro.core.greedy import Assignment
 from repro.core.multi_greedy import ClaimLedger, MultiResult
 from repro.core.quality import p_vector, quality_from_p
 from repro.core.tree_index import VoronoiTreeIndex
 from repro.workloads import Workload
 
+_STATE_SCHEMA = (
+    "task_id long, exec_slots array<long>, ranks array<long>, rem_budget double"
+)
+_PROPOSAL_COLUMNS = [
+    "task_id", "ord", "slot", "heuristic", "gain", "cost", "worker_id", "rank",
+]
 _PROPOSAL_SCHEMA = (
     "task_id long, ord long, slot long, heuristic double, gain double, "
     "cost double, worker_id long, rank long"
 )
 
 
-def _make_propose_fn(ctxs: list[TaskContext], k: int, t_s: int, chain_len: int):
-    """Executor-side worker thread: one task's next greedy chain."""
+def _make_propose_fn(ctxs_bc, k: int, t_s: int, chain_len: int):
+    """Executor-side worker threads: the next greedy chain of each task."""
 
-    def propose(pdf: pd.DataFrame) -> pd.DataFrame:
-        row = pdf.iloc[0]
-        tid = int(row["task_id"])
-        ctx = ctxs[tid]
-        exec_slots = json.loads(row["exec_json"])
-        ranks = json.loads(row["ranks_json"])
-        rem = float(row["rem_budget"])
+    def chain(tid: int, ctx, exec_slots, ranks, rem: float) -> list[tuple]:
         costs = np.array([ctx.cost_at_rank(j, r) for j, r in enumerate(ranks)])
         idx = VoronoiTreeIndex(ctx.m, k, costs, initial_exec=exec_slots)
         out = []
@@ -72,13 +77,18 @@ def _make_propose_fn(ctxs: list[TaskContext], k: int, t_s: int, chain_len: int):
             )
             rem -= float(costs[cand.slot])
             idx.commit(cand.slot)
-        return pd.DataFrame(
-            out,
-            columns=[
-                "task_id", "ord", "slot", "heuristic", "gain",
-                "cost", "worker_id", "rank",
-            ],
-        )
+        return out
+
+    def propose(batches):
+        ctxs = ctxs_bc.value
+        for pdf in batches:
+            rows = []
+            for tid, exec_slots, ranks, rem in zip(
+                pdf["task_id"], pdf["exec_slots"], pdf["ranks"], pdf["rem_budget"]
+            ):
+                tid = int(tid)
+                rows += chain(tid, ctxs[tid], exec_slots, ranks.tolist(), float(rem))
+            yield pd.DataFrame(rows, columns=_PROPOSAL_COLUMNS)
 
     return propose
 
@@ -108,108 +118,105 @@ def solve_msqm_task_parallel(
     heartbeat: dict[int, float] = {}
     conflict_rows: list[dict] = []
     log_rows: list[dict] = []
-    propose = _make_propose_fn(ctxs, k, t_s, chain_len)
     rounds = 0
 
-    while active and rounds < max_rounds:
-        rounds += 1
-        state = pd.DataFrame(
-            {
-                "task_id": sorted(active),
-                "exec_json": [json.dumps(exec_slots[t]) for t in sorted(active)],
-                "ranks_json": [
-                    json.dumps(ledger.ranks[t].tolist()) for t in sorted(active)
-                ],
-                "rem_budget": rem,
-            }
-        )
-        sdf = spark.createDataFrame(state)
-        if num_partitions:
-            sdf = sdf.repartition(num_partitions, "task_id")
-        props = (
-            sdf.groupBy("task_id")
-            .applyInPandas(propose, _PROPOSAL_SCHEMA)
-            .toPandas()
-        )
-        chains: dict[int, list[dict]] = {}
-        for tid, grp in props.groupby("task_id"):
-            chains[int(tid)] = grp.sort_values("ord").to_dict("records")
-        for t in list(active):
-            if t not in chains:
-                active.discard(t)  # no affordable candidate: exhausted
-        ptr = {t: 0 for t in chains}
-        stopped: set[int] = set()
-        committed_this_round = 0
-        bumps_this_round = 0
-        while True:
-            # Heads of all live chains.
-            heads = [
-                (t, chains[t][ptr[t]])
-                for t in chains
-                if t not in stopped and ptr[t] < len(chains[t])
-            ]
-            if not heads:
-                break
-            if priority:
-                heads.sort(key=lambda e: (-e[1]["heuristic"], e[0]))
-            else:
-                heads.sort(key=lambda e: e[0])
-            t, e = heads[0]
-            slot, worker, cost = int(e["slot"]), int(e["worker_id"]), float(e["cost"])
-            heartbeat[t] = float(e["heuristic"])
-            if (worker, slot) in ledger.claimed:
-                # Conflict: the element's *gain* is unaffected (quality
-                # depends on slots, not workers), so reprice it at the next
-                # unclaimed rank — the paper's Conflicting-Table bump to the
-                # "k-th lowest cost" worker — and let it re-enter the merge
-                # at its new heuristic position.  Only this loser is bumped:
-                # commits never bump rivals eagerly, which would reprice
-                # next round's proposals.
-                w = ledger.bump(t, slot)
-                r = int(ledger.ranks[t][slot])
-                bumps_this_round += 1
-                conflict_rows.append(
-                    {"task_id": t, "slot": slot, "bumped_to_rank": r + 1,
-                     "round": rounds}
-                )
-                log_rows.append(
-                    {"round": rounds, "task_id": t, "slot": slot,
-                     "heuristic": float(e["heuristic"]), "committed": False,
-                     "reason": "conflict"}
-                )
-                if w == -1:
-                    # No workers left for this slot: the rest of the chain
-                    # assumed it executed — truncate, re-propose next round.
-                    stopped.add(t)
-                else:
+    def head_key(t: int, e: dict) -> tuple:
+        # Ends in the task id, so keys are unique and heap pops follow a
+        # sort by this key exactly.
+        return (-e["heuristic"], t) if priority else (t,)
+
+    ctxs_bc = spark.sparkContext.broadcast(ctxs)
+    try:
+        propose = _make_propose_fn(ctxs_bc, k, t_s, chain_len)
+        while active and rounds < max_rounds:
+            rounds += 1
+            tids = sorted(active)
+            state = pd.DataFrame(
+                {
+                    "task_id": tids,
+                    "exec_slots": [exec_slots[t] for t in tids],
+                    "ranks": [ledger.ranks[t].tolist() for t in tids],
+                    "rem_budget": rem,
+                }
+            )
+            sdf = spark.createDataFrame(state, _STATE_SCHEMA)
+            if num_partitions:
+                sdf = sdf.repartition(num_partitions, "task_id")
+            props = sdf.mapInPandas(propose, _PROPOSAL_SCHEMA).toPandas()
+            chains: dict[int, list[dict]] = {}
+            for e in props.sort_values(["task_id", "ord"]).to_dict("records"):
+                chains.setdefault(int(e["task_id"]), []).append(e)
+            # A task that proposed nothing has no affordable candidate left.
+            active.intersection_update(chains)
+            ptr = dict.fromkeys(chains, 0)
+            heads = [head_key(t, c[0]) for t, c in chains.items()]
+            heapq.heapify(heads)
+            committed_this_round = 0
+            bumps_this_round = 0
+            while heads:
+                t = heapq.heappop(heads)[-1]
+                e = chains[t][ptr[t]]
+                slot, worker = int(e["slot"]), int(e["worker_id"])
+                cost = float(e["cost"])
+                heartbeat[t] = float(e["heuristic"])
+                if (worker, slot) in ledger.claimed:
+                    # Conflict: the element's *gain* is unaffected (quality
+                    # depends on slots, not workers), so reprice it at the
+                    # next unclaimed rank — the paper's Conflicting-Table
+                    # bump to the "k-th lowest cost" worker — and let it
+                    # re-enter the merge at its new heuristic position.  Only
+                    # this loser is bumped: commits never bump rivals
+                    # eagerly, which would reprice next round's proposals.
+                    w = ledger.bump(t, slot)
+                    r = int(ledger.ranks[t][slot])
+                    bumps_this_round += 1
+                    conflict_rows.append(
+                        {"task_id": t, "slot": slot, "bumped_to_rank": r + 1,
+                         "round": rounds}
+                    )
+                    log_rows.append(
+                        {"round": rounds, "task_id": t, "slot": slot,
+                         "heuristic": float(e["heuristic"]), "committed": False,
+                         "reason": "conflict"}
+                    )
+                    if w == -1:
+                        # No workers left for this slot: the rest of the
+                        # chain assumed it executed — truncate (push nothing
+                        # back), re-propose next round.
+                        continue
                     new_cost = ctxs[t].cost_at_rank(slot, r)
                     e["rank"] = r
                     e["worker_id"] = w
                     e["cost"] = new_cost
                     e["heuristic"] = float(e["gain"]) / new_cost
-                continue
-            if cost > rem:
-                stopped.add(t)
+                    heapq.heappush(heads, head_key(t, e))
+                    continue
+                if cost > rem:
+                    # The chain stops here: nothing of it is pushed back.
+                    log_rows.append(
+                        {"round": rounds, "task_id": t, "slot": slot,
+                         "heuristic": float(e["heuristic"]), "committed": False,
+                         "reason": "budget"}
+                    )
+                    continue
+                ledger.record(t, slot)
+                exec_slots[t].append(slot)
+                workers_of[t].append(worker)
+                spent_of[t] += cost
+                rem -= cost
+                ptr[t] += 1
+                committed_this_round += 1
                 log_rows.append(
                     {"round": rounds, "task_id": t, "slot": slot,
-                     "heuristic": float(e["heuristic"]), "committed": False,
-                     "reason": "budget"}
+                     "heuristic": float(e["heuristic"]), "committed": True,
+                     "reason": "ok"}
                 )
-                continue
-            ledger.record(t, slot)
-            exec_slots[t].append(slot)
-            workers_of[t].append(worker)
-            spent_of[t] += cost
-            rem -= cost
-            ptr[t] += 1
-            committed_this_round += 1
-            log_rows.append(
-                {"round": rounds, "task_id": t, "slot": slot,
-                 "heuristic": float(e["heuristic"]), "committed": True,
-                 "reason": "ok"}
-            )
-        if committed_this_round == 0 and bumps_this_round == 0:
-            break  # no progress and no rank changes: terminate
+                if ptr[t] < len(chains[t]):
+                    heapq.heappush(heads, head_key(t, chains[t][ptr[t]]))
+            if committed_this_round == 0 and bumps_this_round == 0:
+                break  # no progress and no rank changes: terminate
+    finally:
+        ctxs_bc.unpersist()
 
     assignments = []
     for t in range(n):
