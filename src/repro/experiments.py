@@ -286,7 +286,7 @@ def fig9c(spark, *, n_tasks_list=(8, 16, 32), m: int = 100,
         wl = gen_workload(n_tasks=n, n_workers=n_workers, m=m, seed=seed)
         ctxs = build_task_contexts(wl)
         b = 0.25 * average_task_cost(ctxs) * n
-        _, _, gstats = build_groups(spark, wl)
+        _, _, gstats = build_groups(ctxs)
         rt, _ = solve_msqm_task_parallel(spark, wl, b, DEFAULT_K)
         rows.append((n, gstats["n_edges"], rt.conflicts))
     return pd.DataFrame(

@@ -1,100 +1,76 @@
-"""Worker-conflict independence graph, built with Spark DataFrame joins.
+"""Worker-conflict independence graph over the tasks' ranked worker lists.
 
 Reproduces the paper's Fig 4 gradual (d+1)-NN-bound expansion:
 
-1. rank every (task, slot, worker) triple by travel distance with a window
-   function — rank 1 is the lowest-cost worker the task would claim;
+1. every task's top-r candidate list per slot (:class:`TaskContext`, ranked
+   once by :func:`repro.core.assignment.build_task_contexts`) gives each
+   (task, slot, worker) instance its 1-based rank — rank 1 is the lowest-cost
+   worker the task would claim;
 2. start every task at bound 1 (its 1-NN circle); any two tasks sharing a
    worker instance within their current bounds get a conflict edge;
 3. a node of degree d expands to its (d+1)-NN bound; repeat until no new
-   edges appear;
+   edges appear, or for at most :data:`MAX_ROUNDS` rounds;
 4. connected components of the resulting independence graph are the groups
    that can be optimized in parallel.
 
-Components are computed with union-find on the collected edge list — |T| is
-at most a few hundred, so driver-side CC is the right altitude; everything
-upstream (the |T|×|W| distance join, ranking, and self-join per round) runs
-in Catalyst.
+Everything runs on the driver.  The input is at most |T|·m·top_r instances,
+already in driver memory as the contexts; one pandas self-merge on
+(slot, worker) collects every shared instance as ``(ta, tb, rank_a,
+rank_b)``, and each expansion round is a vectorized filter over those pairs.
+Components are computed with union-find on the edge list.
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
-from pyspark.sql.window import Window
 
-from repro.workloads import Workload
+from repro.core.assignment import TaskContext
+
+#: Expansion rounds after which the bounds stop growing.
+MAX_ROUNDS = 8
 
 
-def ranked_candidates(
-    spark: SparkSession, wl: Workload, *, top_r: int = 8
-) -> DataFrame:
-    """Per-(task, slot) worker candidates ranked ascending by travel cost."""
-    tasks = spark.createDataFrame(wl.tasks[["task_id", "x", "y"]])
-    worker_schema = "worker_id long, slot long, x double, y double"
-    workers = spark.createDataFrame(wl.workers, schema=worker_schema)
-    joined = tasks.alias("t").crossJoin(
-        workers.selectExpr(
-            "worker_id", "slot", "x AS wx", "y AS wy"
-        ).alias("w")
-    )
-    dist = F.sqrt(
-        (F.col("t.x") - F.col("wx")) ** 2 + (F.col("t.y") - F.col("wy")) ** 2
-    )
-    win = Window.partitionBy("task_id", "slot").orderBy("dist", "worker_id")
-    return (
-        joined.select("task_id", "slot", "worker_id", dist.alias("dist"))
-        .withColumn("rnk", F.row_number().over(win))
-        .filter(F.col("rnk") <= top_r)
-    )
+def _shared_instances(ctxs: list[TaskContext]) -> pd.DataFrame:
+    """Every worker instance in two tasks' top-r lists: ``ta < tb`` and the
+    instance's 1-based rank in each list."""
+    frames = []
+    for c in ctxs:
+        sizes = [len(w) for w in c.slot_workers]
+        starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+        frames.append(pd.DataFrame({
+            "task": c.task_id,
+            "slot": np.repeat(np.arange(len(sizes)), sizes),
+            "worker": np.concatenate(c.slot_workers),
+            "rank": np.arange(len(starts)) - starts + 1,
+        }))
+    inst = pd.concat(frames, ignore_index=True)
+    pairs = inst.merge(inst, on=["slot", "worker"], suffixes=("_a", "_b"))
+    return pairs[pairs["task_a"] < pairs["task_b"]]
 
 
 def conflict_edges(
-    spark: SparkSession,
-    ranked: DataFrame,
-    n_tasks: int,
-    *,
-    max_rounds: int = 8,
+    ctxs: list[TaskContext],
 ) -> tuple[set[tuple[int, int]], dict[int, int], int]:
-    """Gradual NN-bound expansion.  Returns (edges, final bounds, rounds)."""
-    ranked = ranked.cache()
-    bounds = {t: 1 for t in range(n_tasks)}
+    """Gradual NN-bound expansion.  Returns (edges, final bounds, rounds).
+
+    Task ids must be the contexts' positions 0 … |T|−1, as for a
+    :class:`repro.workloads.Workload`.
+    """
+    if not ctxs:
+        return set(), {}, 0
+    pairs = _shared_instances(ctxs)
+    ta, tb = pairs["task_a"].to_numpy(), pairs["task_b"].to_numpy()
+    ra, rb = pairs["rank_a"].to_numpy(), pairs["rank_b"].to_numpy()
+    bound = np.ones(len(ctxs), dtype=np.int64)
     edges: set[tuple[int, int]] = set()
-    rounds = 0
-    for _ in range(max_rounds):
-        rounds += 1
-        bounds_df = spark.createDataFrame(
-            pd.DataFrame(
-                {"task_id": list(bounds), "bound": list(bounds.values())}
-            )
-        )
-        # bounds_df is |T| rows — broadcast explicitly (the session disables
-        # auto-broadcast to keep shuffle paths honest elsewhere).
-        cur = ranked.join(F.broadcast(bounds_df), "task_id").filter(
-            F.col("rnk") <= F.col("bound")
-        )
-        a = cur.selectExpr("task_id AS ta", "slot", "worker_id")
-        b = cur.selectExpr("task_id AS tb", "slot", "worker_id")
-        pairs = (
-            a.join(F.broadcast(b), ["slot", "worker_id"])
-            .filter(F.col("ta") < F.col("tb"))
-            .select("ta", "tb")
-            .distinct()
-            .toPandas()
-        )
-        new = {
-            (int(r.ta), int(r.tb)) for r in pairs.itertuples(index=False)
-        } - edges
+    for rounds in range(1, MAX_ROUNDS + 1):
+        live = (ra <= bound[ta]) & (rb <= bound[tb])
+        new = set(zip(ta[live].tolist(), tb[live].tolist())) - edges
         if not new:
             break
         edges |= new
-        deg: dict[int, int] = {t: 0 for t in bounds}
-        for ta, tb in edges:
-            deg[ta] += 1
-            deg[tb] += 1
-        bounds = {t: d + 1 for t, d in deg.items()}
-    ranked.unpersist()
-    return edges, bounds, rounds
+        bound = np.bincount(np.array(list(edges)).ravel(), minlength=len(ctxs)) + 1
+    return edges, dict(enumerate(bound.tolist())), rounds
 
 
 def connected_components(
@@ -122,16 +98,16 @@ def connected_components(
 
 
 def build_groups(
-    spark: SparkSession, wl: Workload, *, top_r: int = 8
+    ctxs: list[TaskContext],
 ) -> tuple[pd.DataFrame, set[tuple[int, int]], dict]:
-    """Full pipeline: ranked join → expansion → components."""
-    ranked = ranked_candidates(spark, wl, top_r=top_r)
-    edges, bounds, rounds = conflict_edges(spark, ranked, wl.n_tasks)
-    groups = connected_components(wl.n_tasks, edges)
+    """Full pipeline: shared ranked instances → expansion → components."""
+    edges, _, rounds = conflict_edges(ctxs)
+    groups = connected_components(len(ctxs), edges)
+    sizes = np.bincount(groups["group_id"].to_numpy(np.int64))
     stats = {
         "n_edges": len(edges),
-        "n_groups": int(groups["group_id"].nunique()),
-        "max_group": int(groups.groupby("group_id").size().max()),
+        "n_groups": len(sizes),
+        "max_group": int(sizes.max(initial=0)),
         "expansion_rounds": rounds,
     }
     return groups, edges, stats

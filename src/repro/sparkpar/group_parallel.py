@@ -1,13 +1,15 @@
 """Group-level parallelization of MSQM (Section IV-A-1) on Spark.
 
-Independent conflict groups (from :mod:`repro.sparkpar.conflict_graph`) are
-optimized concurrently: one state row per group (its id and its tasks' ids,
-locations and slot counts as array columns) goes through a ``mapInPandas``
-stage, and each row runs the serial MSQM greedy on its group.  The state
-frame needs no shuffle, so the groups' rows spread over the cores; the
-workers frame travels to the executors once per solve, as a broadcast
-variable.  The global budget is split across groups proportionally to group
-size (the paper does not specify the split — DESIGN.md §5).
+The driver ranks workers once (:func:`build_task_contexts`) and builds the
+independent conflict groups from those contexts
+(:mod:`repro.sparkpar.conflict_graph`).  The groups are optimized
+concurrently: one state row per group (its id and its tasks' ids as an array
+column) goes through a ``mapInPandas`` stage, and each row runs the serial
+MSQM greedy on its tasks' contexts, in task-id order.  The state frame needs
+no shuffle, so the groups' rows spread over the cores; the contexts travel
+to the executors once per solve, as a broadcast variable.  The global
+budget is split across groups proportionally to group size (the paper does
+not specify the split — DESIGN.md §5).
 
 The per-group result rows (one per executed subtask, plus a sentinel
 ``slot = −1`` row carrying the quality of tasks with no executions) are
@@ -26,10 +28,7 @@ from repro.core.multi_greedy import MultiResult, solve_msqm_serial
 from repro.sparkpar.conflict_graph import build_groups
 from repro.workloads import Workload
 
-_STATE_SCHEMA = (
-    "group_id long, task_id array<long>, x array<double>, y array<double>, "
-    "m array<long>"
-)
+_STATE_SCHEMA = "group_id long, task_id array<long>"
 _OUT_COLUMNS = [
     "task_id", "group_id", "slot", "worker_id", "cost", "quality", "conflicts",
 ]
@@ -51,28 +50,23 @@ def solve_msqm_group_parallel(
     use_index: bool = True,
 ) -> tuple[MultiResult, dict]:
     """MSQM via per-conflict-group parallel greedy.  Returns (result, stats)."""
-    groups, _, gstats = build_groups(spark, wl, top_r=top_r)
+    ctxs = build_task_contexts(wl, top_r=top_r)
+    groups, _, gstats = build_groups(ctxs)
+    if not ctxs:
+        return MultiResult(assignments=[], conflicts=0, stats=dict(gstats)), gstats
     state = (
-        wl.tasks.merge(groups, on="task_id")
-        .sort_values("task_id")
-        .groupby("group_id")[["task_id", "x", "y", "m"]]
+        groups.sort_values("task_id")
+        .groupby("group_id")["task_id"]
         .agg(list)
         .reset_index()
     )
-    n_total = wl.n_tasks
-    m, domain = wl.m, wl.domain
+    n_total = len(ctxs)
 
     def run_group(g) -> list[tuple]:
         """Serial MSQM on one group's state row: its result rows."""
-        sub_wl = Workload(
-            tasks=pd.DataFrame({"task_id": g.task_id, "x": g.x, "y": g.y, "m": g.m}),
-            workers=workers_bc.value,
-            m=m,
-            domain=domain,
-        )
-        ctxs = build_task_contexts(sub_wl, top_r=top_r)
-        gb = budget * len(sub_wl.tasks) / n_total
-        res = solve_msqm_serial(ctxs, gb, k, t_s=t_s, use_index=use_index)
+        group_ctxs = [ctxs_bc.value[t] for t in g.task_id]
+        gb = budget * len(group_ctxs) / n_total
+        res = solve_msqm_serial(group_ctxs, gb, k, t_s=t_s, use_index=use_index)
         gid = int(g.group_id)
         rows = []
         for a in res.assignments:
@@ -89,14 +83,14 @@ def solve_msqm_group_parallel(
             rows = [r for g in pdf.itertuples(index=False) for r in run_group(g)]
             yield pd.DataFrame(rows, columns=_OUT_COLUMNS)
 
-    workers_bc = spark.sparkContext.broadcast(wl.workers)
+    ctxs_bc = spark.sparkContext.broadcast(ctxs)
     try:
         sdf = spark.createDataFrame(state, _STATE_SCHEMA)
         if num_partitions:
             sdf = sdf.repartition(num_partitions, "group_id")
         out = sdf.mapInPandas(run_groups, _OUT_SCHEMA).toPandas()
     finally:
-        workers_bc.unpersist()
+        ctxs_bc.unpersist()
 
     assignments = []
     for tid, grp in out.groupby("task_id"):

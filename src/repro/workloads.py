@@ -9,7 +9,8 @@ Substitutes for the paper's datasets (see DESIGN.md §2):
   consecutive slots, standing in for the T-Drive taxi trajectories.
 
 Everything is deterministic in ``seed``.  Pandas frames are the native
-representation (they feed both numpy solvers and ``spark.createDataFrame``).
+representation; :func:`repro.core.assignment.build_task_contexts` ranks
+workers from them for every solver.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 DISTRIBUTIONS = ("uniform", "gaussian", "zipf", "poi")
 
@@ -160,12 +160,3 @@ def gen_workload(
     workers = gen_workers(n_workers, n_slots=m, domain=domain, seed=seed + 10_000)
     return Workload(tasks=tasks, workers=workers, m=m, domain=domain)
 
-
-def tasks_df(spark: SparkSession, wl: Workload) -> DataFrame:
-    """Tasks as a Spark DataFrame."""
-    return spark.createDataFrame(wl.tasks)
-
-
-def workers_df(spark: SparkSession, wl: Workload) -> DataFrame:
-    """Worker availability instances as a Spark DataFrame."""
-    return spark.createDataFrame(wl.workers)

@@ -1,5 +1,6 @@
 """Tests for the worker/cost context (Section II cost model)."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.assignment import (
@@ -7,7 +8,7 @@ from repro.core.assignment import (
     build_task_contexts,
     DEFAULT_TOP_R,
 )
-from repro.workloads import gen_workload
+from repro.workloads import Workload, gen_workload
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +65,19 @@ class TestTaskContext:
         for ctx in ctxs:
             for j in range(ctx.m):
                 assert len(ctx.slot_workers[j]) <= 2
+
+    def test_equal_distance_ties_rank_lower_worker_id_first(self):
+        """Workers at (3, 4) and (4, 3) are both exactly 5 from (0, 0): the
+        lower worker id takes the lower rank, wherever it sits in the frame."""
+        tasks = pd.DataFrame({"task_id": [0], "x": [0.0], "y": [0.0], "m": [1]})
+        workers = pd.DataFrame(
+            {"worker_id": [5, 7, 2], "slot": [0, 0, 0],
+             "x": [6.0, 3.0, 4.0], "y": [8.0, 4.0, 3.0]}
+        )
+        wl = Workload(tasks=tasks, workers=workers, m=1, domain=10.0)
+        ctx = build_task_contexts(wl)[0]
+        assert ctx.slot_workers[0].tolist() == [2, 7, 5]
+        assert ctx.slot_costs[0].tolist() == [5.0, 5.0, 10.0]
 
     def test_empty_slot_handling(self):
         """Slots with no active worker must be unassignable."""

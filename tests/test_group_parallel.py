@@ -8,6 +8,24 @@ from repro.sparkpar.group_parallel import solve_msqm_group_parallel
 from repro.workloads import gen_workload
 
 
+#: Group-parallel output on ``_instance(dist="poi")`` (6 tasks, 300 workers,
+#: m=20, seed 0, 25 % budget; two conflict groups), recorded when each group
+#: re-ranked its workers on the executor.  ``plan`` is each task's
+#: ``slot:worker`` pairs.
+PINNED = dict(
+    conflicts=34,
+    gstats={"n_edges": 7, "n_groups": 2, "max_group": 4, "expansion_rounds": 2},
+    plan=[
+        "2:18 3:18 5:269 8:68 9:72 13:22 17:104 18:104",
+        "1:28 2:74 6:257 8:127 10:111 11:111 12:45 15:32 17:32",
+        "2:299 3:299 6:127 7:127 8:250 11:8 14:11 15:11 19:0",
+        "1:276 2:174 5:257 9:127 10:66 11:94 13:185 15:20",
+        "2:277 3:277 4:269 7:152 9:68 11:48 15:103 16:103 18:103",
+        "1:299 4:110 7:236 10:236 11:236 12:160 16:108",
+    ],
+)
+
+
 def _instance(n_tasks=6, n_workers=300, m=20, seed=0, dist="uniform"):
     wl = gen_workload(n_tasks=n_tasks, n_workers=n_workers, m=m, dist=dist,
                       seed=seed)
@@ -80,3 +98,34 @@ class TestGroupParallel:
         wl, _, b = _instance(n_tasks=4, seed=3)
         r, _ = solve_msqm_group_parallel(spark, wl, b, 3, num_partitions=2)
         assert len(r.assignments) == 4
+
+    @pytest.mark.parametrize("num_partitions", [None, 2], ids=["default", "part2"])
+    def test_output_pinned(self, spark, num_partitions):
+        wl, _, b = _instance(dist="poi")
+        r, gstats = solve_msqm_group_parallel(spark, wl, b, 3,
+                                              num_partitions=num_partitions)
+        plan = [
+            " ".join(f"{s}:{w}" for s, w in zip(a.exec_slots, a.workers))
+            for a in sorted(r.assignments, key=lambda a: a.task_id)
+        ]
+        assert plan == PINNED["plan"]
+        assert r.conflicts == PINNED["conflicts"]
+        assert gstats == PINNED["gstats"]
+
+    def test_no_tasks(self, spark):
+        wl = gen_workload(n_tasks=0, n_workers=50, m=10, seed=0)
+        r, gstats = solve_msqm_group_parallel(spark, wl, 100.0, 3)
+        assert r.assignments == []
+        assert (r.conflicts, r.q_sum, r.steps) == (0, 0.0, 0)
+        assert gstats == {"n_edges": 0, "n_groups": 0, "max_group": 0,
+                          "expansion_rounds": 0}
+
+    def test_one_task_equals_serial(self, spark):
+        wl, ctxs, b = _instance(n_tasks=1, seed=0)
+        rs = solve_msqm_serial(ctxs, b, 3)
+        rg, gstats = solve_msqm_group_parallel(spark, wl, b, 3)
+        assert (gstats["n_groups"], gstats["max_group"]) == (1, 1)
+        assert rg.steps > 0
+        assert [sorted(zip(a.exec_slots, a.workers)) for a in rg.assignments] == [
+            sorted(zip(a.exec_slots, a.workers)) for a in rs.assignments
+        ]

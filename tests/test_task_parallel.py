@@ -247,6 +247,21 @@ class TestTaskParallel:
         r, _ = solve_msqm_task_parallel(spark, wl, b, 3, num_partitions=2)
         assert len(r.assignments) == 4
 
+    def test_no_tasks(self, spark):
+        wl = gen_workload(n_tasks=0, n_workers=50, m=10, seed=0)
+        r, tables = solve_msqm_task_parallel(spark, wl, 100.0, 3)
+        assert r.assignments == []
+        assert (r.conflicts, r.q_sum, r.steps, tables["rounds"]) == (0, 0.0, 0, 0)
+
+    def test_one_task_equals_serial(self, spark):
+        wl, ctxs, b = _instance(n_tasks=1, seed=0)
+        rs = solve_msqm_serial(ctxs, b, 3)
+        rt, _ = solve_msqm_task_parallel(spark, wl, b, 3)
+        assert rt.steps > 0
+        assert [sorted(zip(a.exec_slots, a.workers)) for a in rt.assignments] == [
+            sorted(zip(a.exec_slots, a.workers)) for a in rs.assignments
+        ]
+
     @pytest.mark.parametrize("setting", list(_SETTINGS))
     @pytest.mark.parametrize("dist", ["gaussian", "poi"])
     def test_output_pinned(self, spark, dist, setting):

@@ -108,13 +108,3 @@ class TestWorkload:
         assert wl.n_tasks == 7
         assert wl.m == 12
         assert (wl.workers.slot < 12).all()
-
-    def test_to_spark(self, spark):
-        from repro.workloads import tasks_df, workers_df
-
-        wl = gen_workload(n_tasks=4, n_workers=20, m=8, seed=0)
-        t = tasks_df(spark, wl)
-        w = workers_df(spark, wl)
-        assert t.count() == 4
-        assert w.count() == len(wl.workers)
-        assert set(t.columns) == {"task_id", "x", "y", "m"}
