@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
 import pandas as pd
 
 from repro.core.assignment import average_task_cost, build_task_contexts
@@ -28,8 +27,7 @@ from repro.core.tree_index import solve_sqm_approx_star
 from repro.stcc.spatio_temporal import (
     solve_stcc_greedy,
     solve_stcc_opt,
-    solve_stcc_rand,
-    stcc_quality,
+    stcc_score,
 )
 from repro.workloads import DISTRIBUTIONS, gen_workload
 
@@ -44,6 +42,16 @@ def _single_ctx(dist: str, m: int, n_workers: int, seed: int):
     )
     ctx = build_task_contexts(wl)[0]
     return ctx, average_task_cost([ctx])
+
+
+def _instance(n_tasks: int, m: int, n_workers: int, seed: int, *,
+              dist: str = "uniform", frac: float = 0.25):
+    """A multi-task instance and its budget, ``frac`` of the average task
+    cost per task: (workload, contexts, budget)."""
+    wl = gen_workload(n_tasks=n_tasks, n_workers=n_workers, m=m,
+                      dist=dist, seed=seed)
+    ctxs = build_task_contexts(wl)
+    return wl, ctxs, frac * average_task_cost(ctxs) * n_tasks
 
 
 # --------------------------------------------------------------- Figure 6
@@ -90,10 +98,8 @@ def fig7(*, n_tasks: int = 10, m: int = 60, n_workers: int = 1500,
     for dist in DISTRIBUTIONS:
         for frac in BUDGET_FRACS:
             for seed in seeds:
-                wl = gen_workload(n_tasks=n_tasks, n_workers=n_workers,
-                                  m=m, dist=dist, seed=seed)
-                ctxs = build_task_contexts(wl)
-                b = frac * average_task_cost(ctxs) * n_tasks
+                _, ctxs, b = _instance(n_tasks, m, n_workers, seed,
+                                       dist=dist, frac=frac)
                 rs = solve_msqm_serial(ctxs, b, DEFAULT_K)
                 rm = solve_mmqm(ctxs, b, DEFAULT_K)
                 rr = solve_multi_rand(ctxs, b, DEFAULT_K, seed=seed)
@@ -232,9 +238,7 @@ def fig9a(spark, *, n_tasks: int = 16, m: int = 100, n_workers: int = 2000,
     from repro.sparkpar.group_parallel import solve_msqm_group_parallel
     from repro.sparkpar.task_parallel import solve_msqm_task_parallel
 
-    wl = gen_workload(n_tasks=n_tasks, n_workers=n_workers, m=m, seed=seed)
-    ctxs = build_task_contexts(wl)
-    b = 0.25 * average_task_cost(ctxs) * n_tasks
+    wl, ctxs, b = _instance(n_tasks, m, n_workers, seed)
     rows = []
     t0 = time.perf_counter()
     rs = solve_msqm_serial(ctxs, b, DEFAULT_K)
@@ -259,10 +263,7 @@ def fig9b(spark, *, n_tasks: int = 16, m: int = 100, n_workers: int = 2000,
 
     rows = []
     for dist in DISTRIBUTIONS:
-        wl = gen_workload(n_tasks=n_tasks, n_workers=n_workers, m=m,
-                          dist=dist, seed=seed)
-        ctxs = build_task_contexts(wl)
-        b = 0.25 * average_task_cost(ctxs) * n_tasks
+        wl, _, b = _instance(n_tasks, m, n_workers, seed, dist=dist)
         t0 = time.perf_counter()
         rg, gstats = solve_msqm_group_parallel(spark, wl, b, DEFAULT_K)
         t_g = time.perf_counter() - t0
@@ -283,9 +284,7 @@ def fig9c(spark, *, n_tasks_list=(8, 16, 32), m: int = 100,
 
     rows = []
     for n in n_tasks_list:
-        wl = gen_workload(n_tasks=n, n_workers=n_workers, m=m, seed=seed)
-        ctxs = build_task_contexts(wl)
-        b = 0.25 * average_task_cost(ctxs) * n
+        wl, ctxs, b = _instance(n, m, n_workers, seed)
         _, _, gstats = build_groups(ctxs)
         rt, _ = solve_msqm_task_parallel(spark, wl, b, DEFAULT_K)
         rows.append((n, gstats["n_edges"], rt.conflicts))
@@ -301,9 +300,7 @@ def fig9d(spark, *, n_tasks_list=(8, 16, 32), m: int = 100,
 
     rows = []
     for n in n_tasks_list:
-        wl = gen_workload(n_tasks=n, n_workers=n_workers, m=m, seed=seed)
-        ctxs = build_task_contexts(wl)
-        b = 0.25 * average_task_cost(ctxs) * n
+        wl, ctxs, b = _instance(n, m, n_workers, seed)
         t0 = time.perf_counter()
         solve_msqm_serial(ctxs, b, DEFAULT_K)
         t_s = time.perf_counter() - t0
@@ -321,9 +318,7 @@ def fig9e(spark, *, n_tasks: int = 16, ms=(60, 100, 200),
 
     rows = []
     for m in ms:
-        wl = gen_workload(n_tasks=n_tasks, n_workers=n_workers, m=m, seed=seed)
-        ctxs = build_task_contexts(wl)
-        b = 0.25 * average_task_cost(ctxs) * n_tasks
+        wl, ctxs, b = _instance(n_tasks, m, n_workers, seed)
         t0 = time.perf_counter()
         solve_msqm_serial(ctxs, b, DEFAULT_K)
         t_s = time.perf_counter() - t0
@@ -339,9 +334,7 @@ def fig9f(spark, *, n_tasks: int = 16, m: int = 100, n_workers: int = 2000,
     """Effect of the thread-priority module (priority on vs off)."""
     from repro.sparkpar.task_parallel import solve_msqm_task_parallel
 
-    wl = gen_workload(n_tasks=n_tasks, n_workers=n_workers, m=m, seed=seed)
-    ctxs = build_task_contexts(wl)
-    b = 0.25 * average_task_cost(ctxs) * n_tasks
+    wl, _, b = _instance(n_tasks, m, n_workers, seed)
     rows = []
     for prio in (True, False):
         t0 = time.perf_counter()
@@ -359,9 +352,7 @@ def fig9g(*, n_tasks_list=(8, 16, 32), m: int = 60, n_workers: int = 2000,
     """MMQM time vs |T|: Approx vs Approx*."""
     rows = []
     for n in n_tasks_list:
-        wl = gen_workload(n_tasks=n, n_workers=n_workers, m=m, seed=seed)
-        ctxs = build_task_contexts(wl)
-        b = 0.25 * average_task_cost(ctxs) * n
+        _, ctxs, b = _instance(n, m, n_workers, seed)
         t0 = time.perf_counter()
         ra = solve_mmqm(ctxs, b, DEFAULT_K, use_index=False)
         t_a = time.perf_counter() - t0
@@ -381,9 +372,7 @@ def fig9h(*, n_tasks: int = 8, ms=(60, 100, 200), n_workers: int = 2000,
     """MMQM time vs m: Approx vs Approx*."""
     rows = []
     for m in ms:
-        wl = gen_workload(n_tasks=n_tasks, n_workers=n_workers, m=m, seed=seed)
-        ctxs = build_task_contexts(wl)
-        b = 0.25 * average_task_cost(ctxs) * n_tasks
+        _, ctxs, b = _instance(n_tasks, m, n_workers, seed)
         t0 = time.perf_counter()
         solve_mmqm(ctxs, b, DEFAULT_K, use_index=False)
         t_a = time.perf_counter() - t0
@@ -395,45 +384,32 @@ def fig9h(*, n_tasks: int = 8, ms=(60, 100, 200), n_workers: int = 2000,
 
 
 # -------------------------------------------------------------- Figure 11
-def _stcc_instance(dist: str, n_tasks: int, m: int, n_workers: int, seed: int):
-    wl = gen_workload(n_tasks=n_tasks, n_workers=n_workers, m=m,
-                      dist=dist, seed=seed)
-    ctxs = build_task_contexts(wl)
-    b_avg = average_task_cost(ctxs)
-    return wl, ctxs, b_avg
-
-
 def fig11(*, n_tasks: int = 4, m: int = 20, n_workers: int = 400,
           seeds=(0, 1), w_s: float = 0.3, w_t: float = 0.7) -> dict:
     """STCC quality: (a) by distribution incl. tiny-OPT, (b) vs budget,
-    (c) vs w_t.  Approx (temporal-only) plans are re-scored under the
-    combined metric, matching the paper's comparison."""
+    (c) vs w_t.  Approx (temporal-only, i.e. serial MSQM) and Rand plans are
+    scored under the combined metric, matching the paper's comparison."""
     rows_a, rows_b, rows_c = [], [], []
 
-    def _score(ctxs, res, domain):
-        locs = np.array([[c.x, c.y] for c in ctxs])
-        _, q = stcc_quality(res.exec_sets, locs, ctxs[0].m, DEFAULT_K,
-                            w_s, w_t, domain * np.sqrt(2))
-        return q
+    def _methods(wl, ctxs, b, seed):
+        def score(plan):
+            return stcc_score(ctxs, plan, DEFAULT_K, w_s=w_s, w_t=w_t,
+                              domain=wl.domain).q_sum
+
+        sa = solve_stcc_greedy(ctxs, b, DEFAULT_K, w_s=w_s, w_t=w_t,
+                               domain=wl.domain)
+        return [
+            ("SApprox", sa.q_sum),
+            ("Approx", score(solve_msqm_serial(ctxs, b, DEFAULT_K))),
+            ("Rand", score(solve_multi_rand(ctxs, b, DEFAULT_K, seed=seed))),
+        ]
 
     for dist in DISTRIBUTIONS:
         for seed in seeds:
-            wl, ctxs, b_avg = _stcc_instance(dist, n_tasks, m, n_workers, seed)
-            b = 0.25 * b_avg * n_tasks
-            sa = solve_stcc_greedy(ctxs, b, DEFAULT_K, w_s=w_s, w_t=w_t,
-                                   domain=wl.domain)
-            ap = solve_stcc_greedy(ctxs, b, DEFAULT_K, w_s=0.0, w_t=1.0,
-                                   domain=wl.domain)
-            ra = solve_stcc_rand(ctxs, b, DEFAULT_K, w_s=w_s, w_t=w_t,
-                                 domain=wl.domain, seed=seed)
-            rows_a += [
-                (dist, seed, "SApprox", sa.q_sum),
-                (dist, seed, "Approx", _score(ctxs, ap, wl.domain)),
-                (dist, seed, "Rand", ra.q_sum),
-            ]
+            wl, ctxs, b = _instance(n_tasks, m, n_workers, seed, dist=dist)
+            rows_a += [(dist, seed, *r) for r in _methods(wl, ctxs, b, seed)]
             # Tiny-OPT block (|T|*m <= 18).
-            wl2, ctxs2, b_avg2 = _stcc_instance(dist, 3, 6, 200, seed)
-            b2 = 0.25 * b_avg2 * 3
+            wl2, ctxs2, b2 = _instance(3, 6, 200, seed, dist=dist)
             op = solve_stcc_opt(ctxs2, b2, DEFAULT_K, w_s=w_s, w_t=w_t,
                                 domain=wl2.domain)
             sa2 = solve_stcc_greedy(ctxs2, b2, DEFAULT_K, w_s=w_s, w_t=w_t,
@@ -444,25 +420,11 @@ def fig11(*, n_tasks: int = 4, m: int = 20, n_workers: int = 400,
             ]
     for frac in BUDGET_FRACS:
         for seed in seeds:
-            wl, ctxs, b_avg = _stcc_instance("uniform", n_tasks, m,
-                                             n_workers, seed)
-            b = frac * b_avg * n_tasks
-            sa = solve_stcc_greedy(ctxs, b, DEFAULT_K, w_s=w_s, w_t=w_t,
-                                   domain=wl.domain)
-            ap = solve_stcc_greedy(ctxs, b, DEFAULT_K, w_s=0.0, w_t=1.0,
-                                   domain=wl.domain)
-            ra = solve_stcc_rand(ctxs, b, DEFAULT_K, w_s=w_s, w_t=w_t,
-                                 domain=wl.domain, seed=seed)
-            rows_b += [
-                (frac, seed, "SApprox", sa.q_sum),
-                (frac, seed, "Approx", _score(ctxs, ap, wl.domain)),
-                (frac, seed, "Rand", ra.q_sum),
-            ]
+            wl, ctxs, b = _instance(n_tasks, m, n_workers, seed, frac=frac)
+            rows_b += [(frac, seed, *r) for r in _methods(wl, ctxs, b, seed)]
     for wt in (0.1, 0.3, 0.5, 0.7, 0.9):
         for seed in seeds:
-            wl, ctxs, b_avg = _stcc_instance("uniform", n_tasks, m,
-                                             n_workers, seed)
-            b = 0.25 * b_avg * n_tasks
+            wl, ctxs, b = _instance(n_tasks, m, n_workers, seed)
             sa = solve_stcc_greedy(ctxs, b, DEFAULT_K, w_s=1 - wt, w_t=wt,
                                    domain=wl.domain)
             rows_c.append((wt, seed, sa.q_sum))

@@ -45,12 +45,10 @@ def solve_msqm_group_parallel(
     k: int,
     *,
     t_s: int = 4,
-    top_r: int = 8,
     num_partitions: int | None = None,
-    use_index: bool = True,
 ) -> tuple[MultiResult, dict]:
     """MSQM via per-conflict-group parallel greedy.  Returns (result, stats)."""
-    ctxs = build_task_contexts(wl, top_r=top_r)
+    ctxs = build_task_contexts(wl)
     groups, _, gstats = build_groups(ctxs)
     if not ctxs:
         return MultiResult(assignments=[], conflicts=0, stats=dict(gstats)), gstats
@@ -66,7 +64,7 @@ def solve_msqm_group_parallel(
         """Serial MSQM on one group's state row: its result rows."""
         group_ctxs = [ctxs_bc.value[t] for t in g.task_id]
         gb = budget * len(group_ctxs) / n_total
-        res = solve_msqm_serial(group_ctxs, gb, k, t_s=t_s, use_index=use_index)
+        res = solve_msqm_serial(group_ctxs, gb, k, t_s=t_s)
         gid = int(g.group_id)
         rows = []
         for a in res.assignments:

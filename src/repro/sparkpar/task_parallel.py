@@ -100,14 +100,13 @@ def solve_msqm_task_parallel(
     k: int,
     *,
     t_s: int = 4,
-    top_r: int = 8,
     chain_len: int = 16,
     priority: bool = True,
     num_partitions: int | None = None,
     max_rounds: int = 1000,
 ) -> tuple[MultiResult, dict]:
     """MSQM via the master/worker round protocol.  Returns (result, tables)."""
-    ctxs = build_task_contexts(wl, top_r=top_r)
+    ctxs = build_task_contexts(wl)
     n = len(ctxs)
     exec_slots: list[list[int]] = [[] for _ in range(n)]
     workers_of: list[list[int]] = [[] for _ in range(n)]

@@ -8,7 +8,10 @@ The combined error ratio is the weighted sum ρ = w_s·ρ_s + w_t·ρ_t
 (Eq 14, w_s + w_t = 1) and p = (1/m)(1 − ρ) (Eq 15).
 
 ``SApprox`` is the same greedy framework over q_sum with the combined
-metric; ``Approx`` (temporal only) is the w_t = 1 special case.  The paper's
+metric.  Fig 11's baselines are the multi-task solvers scored with
+:func:`stcc_score`: ``Approx`` (temporal only) is the w_t = 1 special case,
+i.e. serial MSQM (:func:`repro.core.multi_greedy.solve_msqm_serial`), and
+Rand is :func:`repro.core.multi_greedy.solve_multi_rand`.  The paper's
 appendix text says "for Approx, the w_s is set to 1" — given "it does not do
 spatial interpolation", that is read as w_t = 1 (an apparent typo).
 
@@ -17,21 +20,20 @@ footnote 2's temporal padding with m.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
 
 import numpy as np
 
 from repro.core.assignment import TaskContext
-from repro.core.greedy import EPS
-from repro.core.multi_greedy import ClaimLedger
+from repro.core.greedy import EPS, Assignment
+from repro.core.multi_greedy import ClaimLedger, MultiResult
 from repro.core.quality import knn_distances, partial_quality
 
 __all__ = [
     "stcc_p_matrix",
     "stcc_quality",
-    "StccResult",
+    "stcc_score",
     "solve_stcc_greedy",
-    "solve_stcc_rand",
     "solve_stcc_opt",
 ]
 
@@ -90,16 +92,58 @@ def stcc_quality(
     return q, float(q.sum())
 
 
-@dataclass
-class StccResult:
-    """Outcome of an STCC multi-task solve."""
+def _geometry(ctxs: list[TaskContext], domain: float):
+    """(m, task locations, domain diagonal) of an STCC instance."""
+    m = ctxs[0].m if ctxs else 0
+    locs = np.array([[c.x, c.y] for c in ctxs]).reshape(-1, 2)
+    return m, locs, float(domain * np.sqrt(2))
 
-    exec_sets: list[set[int]]
-    q_per_task: np.ndarray
-    q_sum: float
-    q_min: float
-    total_cost: float
-    stats: dict = field(default_factory=dict)
+
+def stcc_score(
+    ctxs: list[TaskContext],
+    plan: MultiResult,
+    k: int,
+    *,
+    w_s: float = 0.3,
+    w_t: float = 0.7,
+    domain: float,
+) -> MultiResult:
+    """Score a multi-task plan under the combined metric.
+
+    Each assignment keeps its workers and cost, with its slots sorted, and
+    gets its task's STCC quality; ``conflicts`` is the plan's.
+    """
+    m, locs, diag = _geometry(ctxs, domain)
+    exec_sets = [set(a.exec_slots) for a in plan.assignments]
+    q, _ = stcc_quality(exec_sets, locs, m, k, w_s, w_t, diag)
+    assignments = []
+    for a, q_i in zip(plan.assignments, q):
+        picks = sorted(zip(a.exec_slots, a.workers))
+        assignments.append(Assignment(
+            task_id=a.task_id,
+            exec_slots=[s for s, _ in picks],
+            workers=[w for _, w in picks],
+            cost=a.cost,
+            quality=float(q_i),
+        ))
+    return MultiResult(
+        assignments=assignments,
+        conflicts=plan.conflicts,
+        stats={"w_s": w_s, "w_t": w_t},
+    )
+
+
+def _empty_plan(ctxs: list[TaskContext]) -> list[Assignment]:
+    return [Assignment(c.task_id, [], [], 0.0, 0.0) for c in ctxs]
+
+
+def _claim(plan: list[Assignment], ledger: ClaimLedger, i: int, slot: int) -> float:
+    """Task ``i`` claims its current worker at ``slot``; returns the cost."""
+    worker, cost, _ = ledger.claim(i, slot)
+    plan[i].exec_slots.append(slot)
+    plan[i].workers.append(worker)
+    plan[i].cost += cost
+    return cost
 
 
 def solve_stcc_greedy(
@@ -110,17 +154,17 @@ def solve_stcc_greedy(
     w_s: float = 0.3,
     w_t: float = 0.7,
     domain: float,
-) -> StccResult:
+) -> MultiResult:
     """SApprox: greedy Δq_sum/cost with the spatiotemporal metric."""
-    n, m = len(ctxs), ctxs[0].m
-    locs = np.array([[c.x, c.y] for c in ctxs])
-    diag = float(domain * np.sqrt(2))
+    n = len(ctxs)
+    m, locs, diag = _geometry(ctxs, domain)
     exec_sets: list[set[int]] = [set() for _ in range(n)]
+    plan = _empty_plan(ctxs)
     ledger = ClaimLedger(ctxs)
     spent = 0.0
     _, q_cur = stcc_quality(exec_sets, locs, m, k, w_s, w_t, diag)
     while True:
-        best = None  # (h, i, slot, q_new, cost)
+        best = None  # (h, i, slot, q_new)
         for i in range(n):
             for slot in range(m):
                 if slot in exec_sets[i]:
@@ -133,58 +177,29 @@ def solve_stcc_greedy(
                 exec_sets[i].discard(slot)
                 h = (q_new - q_cur) / c
                 if best is None or h > best[0] + EPS:
-                    best = (h, i, slot, q_new, float(c))
+                    best = (h, i, slot, q_new)
         if best is None:
             break
-        _, i, slot, q_new, _c = best
-        spent += ledger.claim(i, slot)[1]
+        _, i, slot, q_cur = best
+        spent += _claim(plan, ledger, i, slot)
         exec_sets[i].add(slot)
-        q_cur = q_new
-    q, q_sum = stcc_quality(exec_sets, locs, m, k, w_s, w_t, diag)
-    return StccResult(
-        exec_sets=exec_sets,
-        q_per_task=q,
-        q_sum=q_sum,
-        q_min=float(q.min()),
-        total_cost=spent,
-        stats={"w_s": w_s, "w_t": w_t},
-    )
+    return stcc_score(ctxs, MultiResult(plan, ledger.bumps), k,
+                      w_s=w_s, w_t=w_t, domain=domain)
 
 
-def solve_stcc_rand(
-    ctxs: list[TaskContext],
-    budget: float,
-    k: int,
-    *,
-    w_s: float = 0.3,
-    w_t: float = 0.7,
-    domain: float,
-    seed: int = 0,
-) -> StccResult:
-    """Rand baseline under the spatiotemporal metric."""
-    n, m = len(ctxs), ctxs[0].m
-    locs = np.array([[c.x, c.y] for c in ctxs])
-    diag = float(domain * np.sqrt(2))
-    exec_sets: list[set[int]] = [set() for _ in range(n)]
+def _execute(
+    ctxs: list[TaskContext], picks: list[tuple[int, int]], budget: float
+) -> MultiResult | None:
+    """Claim the (task, slot) ``picks`` in order; None if one is unaffordable."""
+    plan = _empty_plan(ctxs)
     ledger = ClaimLedger(ctxs)
-    g = np.random.default_rng(seed)
-    pairs = [(i, s) for i in range(n) for s in ctxs[i].assignable_slots()]
-    g.shuffle(pairs)
     spent = 0.0
-    for i, slot in pairs:
-        c = ledger.cost(i, int(slot))
+    for i, slot in picks:
+        c = ledger.cost(i, slot)
         if not np.isfinite(c) or spent + c > budget:
-            continue
-        spent += ledger.claim(i, int(slot))[1]
-        exec_sets[i].add(int(slot))
-    q, q_sum = stcc_quality(exec_sets, locs, m, k, w_s, w_t, diag)
-    return StccResult(
-        exec_sets=exec_sets,
-        q_per_task=q,
-        q_sum=q_sum,
-        q_min=float(q.min()),
-        total_cost=spent,
-    )
+            return None
+        spent += _claim(plan, ledger, i, slot)
+    return MultiResult(plan, ledger.bumps)
 
 
 def solve_stcc_opt(
@@ -195,7 +210,7 @@ def solve_stcc_opt(
     w_s: float = 0.3,
     w_t: float = 0.7,
     domain: float,
-) -> StccResult:
+) -> MultiResult:
     """Exact STCC optimum: enumerate all budget-feasible (task, slot) subsets.
 
     Worker contention is resolved in enumeration (sorted-pair) order — at the
@@ -203,13 +218,10 @@ def solve_stcc_opt(
     not change which plan wins (DESIGN.md §5).  Use only for |T|·m ≤ ~18; the
     subset size is naturally capped by the budget over the cheapest costs.
     """
-    import itertools
-
-    n, m = len(ctxs), ctxs[0].m
+    n = len(ctxs)
+    m, locs, diag = _geometry(ctxs, domain)
     if n * m > 18:
         raise ValueError("solve_stcc_opt is exponential; n*m too large")
-    locs = np.array([[c.x, c.y] for c in ctxs])
-    diag = float(domain * np.sqrt(2))
     pairs = [
         (i, int(s)) for i in range(n) for s in ctxs[i].assignable_slots()
     ]
@@ -219,36 +231,16 @@ def solve_stcc_opt(
     # Budget caps the subset size: r items cost at least the r cheapest.
     cheap = np.sort(base_costs)
     max_r = int(np.searchsorted(np.cumsum(cheap), budget, side="right"))
-    best_sets = [set() for _ in range(n)]
-    best_q = 0.0
-    best_cost = 0.0
+    best, best_q = _execute(ctxs, [], budget), 0.0
     for r in range(1, max_r + 1):
         for combo in itertools.combinations(range(len(pairs)), r):
             if base_costs[list(combo)].sum() > budget * 1.5:
                 continue  # cheap reject; exact cost checked below
-            ledger = ClaimLedger(ctxs)
-            exec_sets = [set() for _ in range(n)]
-            spent = 0.0
-            ok = True
-            for ci in combo:
-                i, slot = pairs[ci]
-                c = ledger.cost(i, slot)
-                if not np.isfinite(c) or spent + c > budget:
-                    ok = False
-                    break
-                spent += ledger.claim(i, slot)[1]
-                exec_sets[i].add(slot)
-            if not ok:
+            plan = _execute(ctxs, [pairs[ci] for ci in combo], budget)
+            if plan is None:
                 continue
+            exec_sets = [set(a.exec_slots) for a in plan.assignments]
             _, q_sum = stcc_quality(exec_sets, locs, m, k, w_s, w_t, diag)
             if q_sum > best_q + EPS:
-                best_sets = [set(s) for s in exec_sets]
-                best_q, best_cost = q_sum, spent
-    q, q_sum = stcc_quality(best_sets, locs, m, k, w_s, w_t, diag)
-    return StccResult(
-        exec_sets=best_sets,
-        q_per_task=q,
-        q_sum=q_sum,
-        q_min=float(q.min()),
-        total_cost=best_cost,
-    )
+                best, best_q = plan, q_sum
+    return stcc_score(ctxs, best, k, w_s=w_s, w_t=w_t, domain=domain)
