@@ -84,11 +84,15 @@ def build_task_contexts(wl: Workload, *, top_r: int = DEFAULT_TOP_R) -> list[Tas
                 continue
             ids, pos = by_slot[j]
             d = np.hypot(pos[:, 0] - loc[0], pos[:, 1] - loc[1])
-            r = min(top_r, len(d))
-            sel = np.argpartition(d, r - 1)[:r] if r < len(d) else np.arange(len(d))
-            order = sel[np.argsort(d[sel], kind="stable")]
-            # Deterministic tie-break on worker id for equal distances.
-            order = order[np.lexsort((ids[order], np.round(d[order], 12)))]
+            # Workers rank by (distance to 1e-12, worker id).  Those at or
+            # below the top_r-th rounded distance include every worker tied
+            # with it at the cut; sorting them by the key keeps the lower ids.
+            key = np.round(d, 12)
+            if top_r < len(d):
+                sel = np.flatnonzero(key <= key[np.argpartition(key, top_r - 1)[top_r - 1]])
+            else:
+                sel = np.arange(len(d))
+            order = sel[np.lexsort((ids[sel], key[sel]))][:top_r]
             slot_workers.append(ids[order])
             slot_costs.append(d[order])
         ctxs.append(

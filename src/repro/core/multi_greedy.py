@@ -73,7 +73,9 @@ class ClaimLedger:
     It holds the claimed (worker, slot) pairs and each task's current rank
     per slot; a task's *current worker* at a slot is its candidate at that
     rank (−1, at cost ``inf``, past the ``top_r`` retained candidates).
-    ``bumps`` counts rank advances, i.e. worker conflicts.
+    ``bumps`` counts rank advances, i.e. worker conflicts.  An index from
+    (slot, worker) to the tasks whose current worker it is finds a claim's
+    rivals without scanning every task.
     """
 
     def __init__(self, ctxs: list[TaskContext]):
@@ -81,6 +83,11 @@ class ClaimLedger:
         self.ranks = [np.zeros(c.m, dtype=np.int64) for c in ctxs]
         self.claimed: set[tuple[int, int]] = set()
         self.bumps = 0
+        self._holders: dict[tuple[int, int], set[int]] = {}
+        for i, c in enumerate(ctxs):
+            for slot, ws in enumerate(c.slot_workers):
+                if len(ws):
+                    self._holders.setdefault((slot, int(ws[0])), set()).add(i)
 
     def worker(self, i: int, slot: int) -> int:
         return self.ctxs[i].worker_at_rank(slot, int(self.ranks[i][slot]))
@@ -92,6 +99,7 @@ class ClaimLedger:
         """Advance task ``i`` at ``slot`` to its next unclaimed rank (the
         paper's k-th-NN bump); returns the new current worker."""
         ctx, r = self.ctxs[i], int(self.ranks[i][slot])
+        self._holders.get((slot, ctx.worker_at_rank(slot, r)), set()).discard(i)
         while True:
             r += 1
             w = ctx.worker_at_rank(slot, r)
@@ -99,6 +107,8 @@ class ClaimLedger:
                 break
         self.ranks[i][slot] = r
         self.bumps += 1
+        if w != -1:
+            self._holders.setdefault((slot, w), set()).add(i)
         return w
 
     def record(self, i: int, slot: int) -> tuple[int, float]:
@@ -114,10 +124,7 @@ class ClaimLedger:
         """Record task ``i``'s claim and bump every other task whose current
         worker at ``slot`` it took.  Returns (worker, cost, bumped tasks)."""
         worker, cost = self.record(i, slot)
-        rivals = [
-            t for t in range(len(self.ctxs))
-            if t != i and self.worker(t, slot) == worker
-        ]
+        rivals = sorted(self._holders.get((slot, worker), set()) - {i})
         for t in rivals:
             self.bump(t, slot)
         return worker, cost, rivals

@@ -48,19 +48,20 @@ def knn_distances(
             np.full((nq, k), float(m)),
             np.full((nq, k), -1, dtype=np.int64),
         )
-    ins = np.searchsorted(exec_sorted, queries)
-    offs = np.arange(-k, k)
-    cand = ins[:, None] + offs[None, :]
-    valid = (cand >= 0) & (cand < ne)
-    cand_c = np.clip(cand, 0, ne - 1)
-    d = np.abs(queries[:, None] - exec_sorted[cand_c]).astype(np.float64)
-    d[~valid] = np.inf
-    order = np.argsort(d, axis=1, kind="stable")[:, :k]
-    rows = np.arange(nq)[:, None]
-    dk = d[rows, order]
-    idx = np.where(np.isinf(dk), -1, cand_c[rows, order])
-    dk = np.where(np.isinf(dk), float(m), dk)
-    return dk, idx
+    # Candidates are the k executed slots on each side of the insertion
+    # point.  Beyond either end sit pads at distance ≥ m from every slot, so
+    # they sort after every real neighbour and come out as missing.
+    padded = np.empty(ne + 2 * k, dtype=np.int64)
+    padded[:k], padded[k : k + ne], padded[k + ne :] = -m, exec_sorted, 2 * m
+    cand = padded.searchsorted(queries)[:, None] + np.arange(-k, k)
+    d = np.abs(padded[cand] - queries[:, None])
+    # The k nearest per row, as flat indices; the stable sort breaks ties
+    # toward the earlier slot.
+    pick = d.argsort(axis=1, kind="stable")[:, :k] + np.arange(0, nq * 2 * k, 2 * k)[:, None]
+    d, cand = d.take(pick), cand.take(pick) - k
+    missing = d >= m
+    cand[missing] = -1
+    return np.minimum(d, m, dtype=np.float64), cand
 
 
 def p_vector(

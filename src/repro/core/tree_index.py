@@ -4,19 +4,21 @@ The index accelerates Algorithm 1's inner argmax in two ways, exactly as the
 paper describes:
 
 1. **k-NN reuse (Voronoi locality).**  Current k-NN state is maintained for
-   every slot (distances ``D``, neighbour identities ``IDX``, finishing
-   probabilities ``p``).  The *affected region* of a tentative execution at
-   slot ``x`` is ``{y : |y − x| < d_k(y)}`` — the slots whose order-k Voronoi
-   cell changes — so an exact heuristic evaluation touches only that region
-   instead of all ``m`` slots.
+   every slot (distance sums ``D_sum``, k-th distances ``dk``, neighbour
+   identities, finishing probabilities ``p``).  The *affected region* of a
+   tentative execution at slot ``x`` is ``{y : |y − x| < d_k(y)}`` — the
+   slots whose order-k Voronoi cell changes — so an exact heuristic
+   evaluation touches only that region instead of all ``m`` slots.
 
 2. **Best-first search with upper-bound pruning.**  The timeline is split
-   recursively into segments (the aggregated binary tree).  Each node's
-   heuristic value is upper-bounded via Eq 6: an unexecuted slot's error
-   ratio after any insertion in the node is at least
+   recursively at ``(l + r) // 2`` into segments (the aggregated binary
+   tree).  Each node's heuristic value is upper-bounded via Eq 6: an
+   unexecuted slot's error ratio after any insertion in the node is at least
    ``(Σ_{S_(k−1)NN} d + 1)/(k·m)``, and since ``−p·log2 p`` is increasing on
    ``[0, 1/m]`` (m ≥ 3), that ρ lower bound yields a sound quality upper
-   bound.  Nodes are popped best-first from a heap; a node splits until its
+   bound.  Below m = 3 there is no such bound: every node bound is ``+inf``,
+   so nothing is pruned and the search evaluates every candidate exactly.
+   Nodes are popped best-first from a heap; a node splits until its
    endpoints share the same k-NN set (stopping condition 1, justified by
    Lemma 8) or its segment length drops below ``t_s`` (condition 2); leaf
    candidates are evaluated exactly; nodes whose bound cannot beat the best
@@ -26,17 +28,29 @@ Affected-region bounds use two monotone arrays: ``M(y) = max_{y'≤y} (y'+d_k)``
 and ``N(y) = min_{y'≥y} (y'−d_k)``, both nondecreasing, so the superset window
 of any segment's influence is found by binary search.
 
+The tree is real per-node state.  Its skeleton (node ranges, children,
+parents) depends only on ``m`` and is built once per ``m``.  Each node holds
+its minimum cost and its bound; a commit recomputes every node's bound in one
+vectorized pass, and a rank bump (:meth:`VoronoiTreeIndex.update_cost`)
+updates the minimum cost and bound on one leaf-to-root path.
+
+A commit changes the k-NN state only inside the committed slot's affected
+window, so it recomputes that window alone (plus the rows of the executed
+neighbours whose k-NN sets now include the new slot), then ``M``, ``N``, the
+Eq-6 prefix sums and the node bounds, each in one whole-array pass.
+Construction runs the same refresh over the whole timeline.
+
 A leaf's stale candidates are evaluated together, in one vectorized pass over
-their affected windows.  The per-node bound lookups are scalar, so the state
-they read (``M``, ``N``, the bound prefix sums and the range-min sparse
-tables) is also kept as Python lists.
+their affected windows.
 """
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,19 +61,56 @@ from repro.core.quality import knn_distances, partial_quality
 __all__ = ["VoronoiTreeIndex", "solve_sqm_approx_star"]
 
 
-def _sparse_table(values: np.ndarray) -> list[list[float]]:
-    """Range-min sparse table: level ``j`` holds ``min(values[i : i + 2**j])``."""
-    table = [values]
-    while 2 * (half := 1 << (len(table) - 1)) <= len(values):
-        prev = table[-1]
-        table.append(np.minimum(prev[:-half], prev[half:]))
-    return [level.tolist() for level in table]
+@dataclass(frozen=True)
+class _Tree:
+    """The search's node skeleton over ``m`` slots.
+
+    Node ``i`` covers slots ``l[i]..r[i]``.  The ``m − 1`` internal nodes
+    come first, breadth first from the root (node 0); the single-slot node of
+    slot ``y`` is ``m − 1 + y``.  An internal node splits at
+    ``mid = (l + r) // 2`` into ``left[i]`` (``l..mid``) and ``right[i]``
+    (``mid+1..r``).  ``reduce_at`` interleaves the internal nodes' ``l`` and
+    ``r + 1``, so every other entry of a ``ufunc.reduceat`` over a
+    length-``m + 1`` array reduces one internal node's slots.
+    """
+
+    l: list[int]
+    r: list[int]
+    left: list[int]
+    right: list[int]
+    parent: list[int]
+    l_arr: np.ndarray
+    r_arr: np.ndarray
+    reduce_at: np.ndarray
 
 
-def _range_min(table: list[list[float]], l: int, r: int) -> float:
-    lvl = (r - l + 1).bit_length() - 1
-    row = table[lvl]
-    return min(row[l], row[r - (1 << lvl) + 1])
+@functools.cache
+def _tree(m: int) -> _Tree:
+    n = 2 * m - 1
+    l, r = [0] * n, [m - 1] * n
+    left, right, parent = [-1] * n, [-1] * n, [-1] * n
+    l[m - 1 :], r[m - 1 :] = range(m), range(m)
+    n_internal = 1
+    for i in range(m - 1):  # breadth first: children are numbered on sight
+        mid = (l[i] + r[i]) // 2
+        for side, (a, b) in ((left, (l[i], mid)), (right, (mid + 1, r[i]))):
+            if a == b:
+                c = m - 1 + a
+            else:
+                c, n_internal = n_internal, n_internal + 1
+                l[c], r[c] = a, b
+            side[i], parent[c] = c, i
+    l_arr, r_arr = np.array(l), np.array(r)
+    reduce_at = np.column_stack((l_arr[: m - 1], r_arr[: m - 1] + 1)).ravel()
+    return _Tree(l, r, left, right, parent, l_arr, r_arr, reduce_at)
+
+
+def _node_min(tree: _Tree, ext: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Per-node minimum of ``ext[:m]`` (``ext`` has one spare entry)."""
+    m = len(ext) - 1
+    out[: m - 1] = np.minimum.reduceat(ext, tree.reduce_at)[::2]
+    out[m - 1 :] = ext[:m]
+    return out
 
 
 class VoronoiTreeIndex:
@@ -73,12 +124,30 @@ class VoronoiTreeIndex:
     def __init__(
         self, m: int, k: int, costs: np.ndarray, *, initial_exec=()
     ):
-        if m < 3:
-            raise ValueError("tree index requires m >= 3 (entropy monotonicity)")
         self.m, self.k = m, k
-        self.costs = np.asarray(costs, dtype=np.float64).copy()
-        self.exec_sorted = np.sort(np.asarray(list(initial_exec), dtype=np.int64))
-        self.is_exec = np.zeros(m, dtype=bool)
+        self._tree = tree = _tree(m)
+        # Slot-indexed state, allocated in blocks.  The three rows of m + 1
+        # entries: costs and g_p take the first m (the spare one ends the
+        # last per-node range of a reduceat, see _Tree.reduce_at), and
+        # _prefix[j] is the sum of the Eq-6 terms of slots below j.
+        self._cost_ext, self._gp_ext, self._prefix = np.zeros((3, m + 1))
+        self.costs, self.g_p = self._cost_ext[:m], self._gp_ext[:m]
+        self.costs[:] = costs
+        # D_sum, d_k, p, Eq-6 terms, and the cached exact Δq/cost and Δq:
+        # cross-step reuse (the paper's incremental tree maintenance) keeps a
+        # candidate's exact heuristic valid across commits whose affected
+        # window does not overlap the window it was computed over.
+        self.D_sum, self.dk, self.p, self._diff, self.h_last, self.gain_last = np.zeros((6, m))
+        # Cached windows, and each k-NN set's last executed slot.
+        self.win_lo, self.win_hi, self._knn_last = np.zeros((3, m), dtype=np.int64)
+        self.is_exec, self.h_valid = np.zeros((2, m), dtype=bool)
+        self._slots = np.arange(m)
+        # Executed slots in order, then −1s: indexed by knn_distances' −1
+        # (missing neighbour), it reads −1.
+        exec_sorted = np.sort(np.asarray(list(initial_exec), dtype=np.int64))
+        self._exec_buf = np.full(m + 1, -1)
+        self._exec_buf[: len(exec_sorted)] = exec_sorted
+        self.exec_sorted = self._exec_buf[: len(exec_sorted)]
         self.is_exec[self.exec_sorted] = True
         self.q_cur = 0.0
         # g(1/m) = −(1/m)·log2(1/m): an executed slot's entropy contribution.
@@ -91,56 +160,100 @@ class VoronoiTreeIndex:
             "interp_ops": 0,
             "steps": 0,
         }
-        # Cross-step reuse (the paper's incremental tree maintenance): exact
-        # heuristic values survive commits whose affected window does not
-        # overlap the window they were computed over.
-        self.h_valid = np.zeros(m, dtype=bool)
-        self.h_last = np.full(m, -np.inf)
-        self.gain_last = np.zeros(m)
-        self.win_lo = np.zeros(m, dtype=np.int64)
-        self.win_hi = np.zeros(m, dtype=np.int64)
-        self._rmq_cost = _sparse_table(self.costs)
-        self._refresh()
+        # Per-node state: max(min cost, EPS), Eq-6 gain bound, heuristic bound.
+        self._den, self._gain = np.empty((2, 2 * m - 1))
+        np.maximum(_node_min(tree, self._cost_ext, self._den), EPS, out=self._den)
+        self._ub: list[float] = []
+        self._refresh(0, m - 1, self._slots)
 
     # ---------------------------------------------------------------- state
-    def _refresh(self) -> None:
+    def _refresh(self, lo: int, hi: int, rows: np.ndarray) -> None:
+        """Recompute the k-NN state of ``rows`` and the Eq-6 terms of
+        ``[lo, hi]``, then everything derived from them.
+
+        ``rows`` must hold every slot whose k-NN set may have changed, and
+        ``[lo, hi]`` every slot whose k-NN distances may have changed.
+        """
         t0 = time.perf_counter()
         m, k = self.m, self.k
-        slots = np.arange(m, dtype=np.int64)
-        D, IDX = knn_distances(self.exec_sorted, m, k, slots)
-        self.D_sum = D.sum(axis=1)
-        self.dk = D[:, -1].copy()
-        # Sorted rows compare equal exactly when the k-NN sets do: every row
-        # holds the same number of missing (−1) neighbours.
-        self._knn = np.sort(IDX, axis=1).tolist()
-        p = (1.0 - self.D_sum / (k * m)) / m
-        p[self.is_exec] = 1.0 / m
-        # Executed slots are never "affected" by a tentative execution.
-        self.dk[self.is_exec] = 0.0
-        self.p = np.clip(p, 0.0, None)
-        self.g_p = partial_quality(self.p)
-        s_km1 = self.D_sum - D[:, -1]
-        rho_lb = (s_km1 + 1.0) / (k * m)
-        pub = np.clip((1.0 - rho_lb) / m, 0.0, 1.0 / m)
-        pub[self.is_exec] = 1.0 / m
-        diff = np.clip(partial_quality(pub) - self.g_p, 0.0, None)
-        diff[self.is_exec] = 0.0
-        self._prefix_diff = [0.0] + np.cumsum(diff).tolist()
-        self.M = np.maximum.accumulate(slots + self.dk)
-        self.N = np.minimum.accumulate((slots - self.dk)[::-1])[::-1]
-        self._M, self._N = self.M.tolist(), self.N.tolist()
+        D, IDX = knn_distances(self.exec_sorted, m, k, rows)
+        # An executed slot has no interpolation error: it keeps D_sum = 0
+        # (so p = 1/m below) and d_k = 0 (it is never "affected").
+        unexec = ~self.is_exec[rows]
+        self.D_sum[rows] = D.sum(axis=1) * unexec
+        self.dk[rows] = D[:, -1] * unexec
+        # A k-NN set is a run of min(|executed|, k) consecutive executed
+        # slots, so its last slot (−1 for none) identifies it.
+        self._knn_last[rows] = self._exec_buf[IDX].max(axis=1)
+        # p (Eq 2, row 0) and its Eq-6 upper bound (row 1) over the window,
+        # both within [0, 1/m].  An executed slot's Eq-6 term is 0, since
+        # g = −p·log2 p is increasing on [0, 1/m] (below m = 3 the terms go
+        # unused).
+        win = slice(lo, hi + 1)
+        P = np.empty((2, hi + 1 - lo))
+        P[0] = self.D_sum[win]
+        np.subtract(P[0], self.dk[win], out=P[1])
+        P[1] += 1.0
+        P /= k * m
+        np.subtract(1.0, P, out=P)
+        P /= m
+        G = partial_quality(P)
+        self.p[win] = P[0]
+        self.g_p[win] = G[0]
+        np.maximum(G[1] - G[0], 0.0, out=self._diff[win])
+        self._diff.cumsum(out=self._prefix[1:])
+        # M and N in one pass: N reversed and negated is a running max too.
+        S = np.empty((2, m))
+        np.add(self._slots, self.dk, out=S[0])
+        np.subtract(self.dk[::-1], self._slots[::-1], out=S[1])
+        np.maximum.accumulate(S, axis=1, out=S)
+        self.M, self.N = S[0], -S[1, ::-1]
+        # Each slot's affected window (see _window).
+        self._lo = np.minimum(self.M.searchsorted(self._slots, side="right"), self._slots)
+        self._hi = np.maximum(self.N.searchsorted(self._slots, side="left") - 1, self._slots)
+        self._knn = self._knn_last.tolist()
         self.q_cur = float(self.g_p.sum())
-        self._rmq_gp = _sparse_table(self.g_p)
+        self._node_bounds()
         self.timers["refresh"] += time.perf_counter() - t0
 
+    def _node_bounds(self) -> None:
+        """Every node's Eq-6 heuristic bound, in one vectorized pass.
+
+        The gain bound of node ``[l, r]`` is the best own gain,
+        ``g(1/m) − min g_p``, plus the Eq-6 terms over the node's window; its
+        heuristic bound divides that by the node's minimum cost.  The bound
+        ignores the budget: a node the search visits holds an affordable
+        slot, so its minimum cost is affordable too.
+        """
+        tree = self._tree
+        gain = _node_min(tree, self._gp_ext, self._gain)
+        np.subtract(self.g_exec, gain, out=gain)
+        np.maximum(gain, 0.0, out=gain)
+        gain += self._prefix[1:][self._hi[tree.r_arr]] - self._prefix[self._lo[tree.l_arr]]
+        ub = gain / self._den
+        if self.m < 3:  # Eq 6 needs −p·log2 p increasing on [0, 1/m]
+            gain[:] = ub[:] = np.inf
+        self._ub = ub.tolist()
+
     def update_cost(self, slot: int, new_cost: float) -> None:
-        """Rank-bumped travel cost for ``slot`` (multi-task conflicts)."""
+        """Rank-bumped travel cost for ``slot`` (multi-task conflicts).
+
+        Updates the minimum cost and bound of the nodes on the slot's
+        leaf-to-root path, stopping at the first whose minimum is unchanged.
+        """
         self.costs[slot] = new_cost
         self.h_valid[slot] = False
-        self._rmq_cost = _sparse_table(self.costs)
+        tree, den, gain, ub = self._tree, self._den, self._gain, self._ub
+        node, d = self.m - 1 + slot, max(float(new_cost), EPS)
+        while node >= 0 and d != den[node]:
+            den[node] = d
+            ub[node] = float(gain[node] / d)
+            node = tree.parent[node]
+            if node >= 0:
+                d = float(min(den[tree.left[node]], den[tree.right[node]]))
 
     def commit(self, slot: int) -> None:
-        """Execute ``slot`` and refresh all k-NN state.
+        """Execute ``slot`` and refresh the k-NN state it changes.
 
         Cached exact heuristics stay valid for every candidate whose
         evaluation window is disjoint from the committed slot's affected
@@ -150,9 +263,21 @@ class VoronoiTreeIndex:
         if self.is_exec[slot]:
             raise ValueError(f"slot {slot} already executed")
         lo_z, hi_z = self._window(slot, slot)
+        # Slots at distance exactly d_k can swap a tied neighbour for the
+        # new slot: their k-NN sets change, their distances do not.
+        lo = bisect.bisect_left(self.M, slot)
+        hi = bisect.bisect_right(self.N, slot) - 1
         self.is_exec[slot] = True
-        self.exec_sorted = np.sort(np.append(self.exec_sorted, slot))
-        self._refresh()
+        n, buf = len(self.exec_sorted), self._exec_buf
+        pos = bisect.bisect_left(self.exec_sorted, slot)
+        buf[pos + 1 : n + 1] = buf[pos:n]
+        buf[pos] = slot
+        self.exec_sorted = buf[: n + 1]
+        # An executed slot's k-NN set is itself plus its k − 1 nearest
+        # executed slots, so the new slot joins the sets of up to k − 1
+        # executed neighbours on each side, wherever they are.
+        near = self.exec_sorted[max(pos - self.k + 1, 0) : pos + self.k]
+        self._refresh(lo, hi, np.concatenate((np.arange(lo, hi + 1), near)))
         stale = (self.win_lo <= hi_z) & (self.win_hi >= lo_z)
         self.h_valid[stale] = False
         self.h_valid[slot] = False
@@ -161,20 +286,7 @@ class VoronoiTreeIndex:
     # ------------------------------------------------------------- windows
     def _window(self, l: int, r: int) -> tuple[int, int]:
         """Superset of slots affected by executing any slot in [l, r]."""
-        lo = bisect.bisect_right(self._M, l)
-        hi = bisect.bisect_left(self._N, r) - 1
-        return min(lo, l), max(hi, r)
-
-    # ------------------------------------------------------------- bounds
-    def _node_ub(self, l: int, r: int, rem_budget: float) -> float:
-        min_cost = _range_min(self._rmq_cost, l, r)
-        if not math.isfinite(min_cost) or min_cost > rem_budget:
-            return -math.inf
-        own = self.g_exec - _range_min(self._rmq_gp, l, r)
-        lo, hi = self._window(l, r)
-        nb = self._prefix_diff[hi + 1] - self._prefix_diff[lo]
-        gain = max(0.0, own) + nb
-        return gain / max(min_cost, EPS)
+        return int(self._lo[l]), int(self._hi[r])
 
     # --------------------------------------------------------------- exact
     def exact_heuristic(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,8 +299,7 @@ class VoronoiTreeIndex:
         """
         t0 = time.perf_counter()
         m, k = self.m, self.k
-        lo = np.minimum(self.M.searchsorted(xs, side="right"), xs)
-        hi = np.maximum(self.N.searchsorted(xs, side="left") - 1, xs)
+        lo, hi = self._lo[xs], self._hi[xs]
         span = hi - lo
         w = int(span.max()) + 1
         # Rows start early enough to end inside the timeline.  Slots a row
@@ -212,11 +323,6 @@ class VoronoiTreeIndex:
         self.win_lo[xs], self.win_hi[xs] = lo, hi
         return h, gain
 
-    def _same_knn_endpoints(self, l: int, r: int) -> bool:
-        """Stopping condition 1: knn(l) == knn(r) ⇒ whole segment is one
-        order-k Voronoi cell (Lemma 8)."""
-        return self._knn[l] == self._knn[r]
-
     # -------------------------------------------------------------- search
     def best_candidate(self, rem_budget: float, t_s: int) -> Candidate | None:
         """Best-first argmax of Δq/cost over affordable unexecuted slots."""
@@ -238,32 +344,25 @@ class VoronoiTreeIndex:
             x0 = int(near.min())
             best = Candidate(slot=x0, heuristic=float(self.h_last[x0]),
                              gain=float(self.gain_last[x0]))
+        floor = -math.inf if best is None else best.heuristic - EPS
         # Subtrees holding no stale affordable candidate are skipped outright
         # (the paper's "otherwise, the entire subtree is skipped"), so every
-        # node on the heap holds at least one.
+        # node on the heap holds at least one — and so an affordable slot.
         stale = afford & ~self.h_valid
         stale_ps = [0] + np.cumsum(stale).tolist()
-
-        def _has_stale(l: int, r: int) -> bool:
-            return stale_ps[r + 1] > stale_ps[l]
-
-        heap: list[tuple[float, int, int, int]] = []
-        tie = 0
-        root_ub = self._node_ub(0, m - 1, rem_budget)
-        if (
-            math.isfinite(root_ub)
-            and _has_stale(0, m - 1)
-            and (best is None or root_ub >= best.heuristic - EPS)
-        ):
-            heapq.heappush(heap, (-root_ub, tie, 0, m - 1))
+        tree, ub, knn = self._tree, self._ub, self._knn
+        L, R, left, right = tree.l, tree.r, tree.left, tree.right
+        heap: list[tuple[float, int, int]] = []
+        tie = expanded = 0
+        if stale_ps[m] and ub[0] >= floor:
+            heap.append((-ub[0], tie, 0))
         while heap:
-            neg_ub, _, l, r = heapq.heappop(heap)
-            ub = -neg_ub
-            if best is not None and ub < best.heuristic - EPS:
+            neg_ub, _, node = heapq.heappop(heap)
+            if -neg_ub < floor:
                 break  # heap is UB-ordered: nothing below can win
-            self.counters["nodes_expanded"] += 1
-            is_leaf = (r - l + 1) <= t_s or self._same_knn_endpoints(l, r)
-            if is_leaf:
+            expanded += 1
+            l, r = L[node], R[node]
+            if r - l + 1 <= t_s or knn[l] == knn[r]:
                 self.timers["index"] += time.perf_counter() - t0
                 xs = l + np.flatnonzero(stale[l : r + 1])
                 hs, gains = self.exact_heuristic(xs)
@@ -276,18 +375,14 @@ class VoronoiTreeIndex:
                         or (abs(h - best.heuristic) <= EPS and x < best.slot)
                     ):
                         best = Candidate(slot=x, heuristic=h, gain=gain)
+                        floor = h - EPS
                 t0 = time.perf_counter()
             else:
-                mid = (l + r) // 2
-                for cl, cr in ((l, mid), (mid + 1, r)):
-                    if not _has_stale(cl, cr):
-                        continue
-                    ub_c = self._node_ub(cl, cr, rem_budget)
-                    if math.isfinite(ub_c) and (
-                        best is None or ub_c >= best.heuristic - EPS
-                    ):
+                for child in (left[node], right[node]):
+                    if stale_ps[R[child] + 1] > stale_ps[L[child]] and ub[child] >= floor:
                         tie += 1
-                        heapq.heappush(heap, (-ub_c, tie, cl, cr))
+                        heapq.heappush(heap, (-ub[child], tie, child))
+        self.counters["nodes_expanded"] += expanded
         self.timers["index"] += time.perf_counter() - t0
         return best
 

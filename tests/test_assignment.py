@@ -79,6 +79,24 @@ class TestTaskContext:
         assert ctx.slot_workers[0].tolist() == [2, 7, 5]
         assert ctx.slot_costs[0].tolist() == [5.0, 5.0, 10.0]
 
+    def test_tie_at_top_r_cut_keeps_lower_worker_ids(self):
+        """Twelve workers exactly 5 from the task compete for the last three
+        of top_r = 4 places: the three lowest ids win, wherever they sit in
+        the frame."""
+        tasks = pd.DataFrame({"task_id": [0], "x": [0.0], "y": [0.0], "m": [1]})
+        ring = [(3, 4), (4, 3), (-3, 4), (-4, 3), (3, -4), (4, -3),
+                (-3, -4), (-4, -3), (5, 0), (0, 5), (-5, 0), (0, -5)]
+        workers = pd.DataFrame(
+            {"worker_id": [40 - 3 * i for i in range(12)] + [99],
+             "slot": [0] * 13,
+             "x": [float(x) for x, _ in ring] + [1.0],
+             "y": [float(y) for _, y in ring] + [0.0]}
+        )
+        wl = Workload(tasks=tasks, workers=workers, m=1, domain=10.0)
+        ctx = build_task_contexts(wl, top_r=4)[0]
+        assert ctx.slot_workers[0].tolist() == [99, 7, 10, 13]
+        assert ctx.slot_costs[0].tolist() == [1.0, 5.0, 5.0, 5.0]
+
     def test_empty_slot_handling(self):
         """Slots with no active worker must be unassignable."""
         wl = gen_workload(n_tasks=1, n_workers=3, m=50, seed=1)

@@ -188,6 +188,32 @@ class TestClaimLedger:
         assert ledger.bumps == 2
 
     @pytest.mark.parametrize("seed", range(4))
+    def test_rivals_match_a_scan_of_every_task(self, seed):
+        """Through claims, bare records and lazy bumps (the task-parallel
+        merge), a claim's rivals are exactly the other tasks whose current
+        worker it takes, in task-id order."""
+        _, ctxs, _ = _instance(n_tasks=12, n_workers=30, m=10, seed=seed,
+                               dist="gaussian")
+        ledger = ClaimLedger(ctxs)
+        rng = np.random.default_rng(seed)
+        n_rivals = 0
+        for p in rng.permutation(len(ctxs) * 10):
+            i, slot = divmod(int(p), 10)
+            worker = ledger.worker(i, slot)
+            if worker == -1:
+                continue
+            if (worker, slot) in ledger.claimed:
+                ledger.bump(i, slot)
+            elif rng.random() < 0.3:
+                ledger.record(i, slot)
+            else:
+                want = [t for t in range(len(ctxs))
+                        if t != i and ledger.worker(t, slot) == worker]
+                assert ledger.claim(i, slot)[2] == want
+                n_rivals += len(want)
+        assert n_rivals > 0
+
+    @pytest.mark.parametrize("seed", range(4))
     def test_no_pair_claimed_twice(self, seed):
         """Any claim sequence over distinct (task, slot) pairs takes
         distinct (worker, slot) pairs, and a repeated claim is refused."""

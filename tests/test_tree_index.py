@@ -1,9 +1,12 @@
 """Tests for the Voronoi tree index and Approx* (Section III-C)."""
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.core.assignment import build_task_contexts, average_task_cost
 from repro.core.greedy import solve_sqm_approx
+from repro.core.multi_greedy import solve_msqm_serial
 from repro.core.quality import p_vector, quality_from_p
 from repro.core.tree_index import VoronoiTreeIndex, solve_sqm_approx_star
 from repro.workloads import gen_workload
@@ -39,9 +42,32 @@ class TestIndexState:
         with pytest.raises(ValueError):
             idx.commit(3)
 
-    def test_m_too_small_raises(self):
-        with pytest.raises(ValueError):
-            VoronoiTreeIndex(2, 1, np.ones(2))
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_m_below_3_matches_naive(self, m, seed):
+        """Below m = 3 Eq 6 gives no bound: Approx* prunes nothing and
+        plans as Approx does, single-task and in serial MSQM."""
+        wl = gen_workload(n_tasks=4, n_workers=40, m=m, seed=seed)
+        ctxs = build_task_contexts(wl)
+        executed = 0
+        for k, frac in itertools.product((1, 2, 3), (0.6, 1.0)):
+            for ctx in ctxs:
+                b = frac * average_task_cost([ctx])
+                a, s = solve_sqm_approx(ctx, b, k), solve_sqm_approx_star(ctx, b, k)
+                assert (s.exec_slots, s.workers) == (a.exec_slots, a.workers)
+                assert s.quality == pytest.approx(a.quality, rel=1e-12)
+                assert s.stats["candidates_evaluated"] == s.stats["candidates_total"]
+                executed += len(s.exec_slots)
+            b = frac * average_task_cost(ctxs) * len(ctxs)
+            star = solve_msqm_serial(ctxs, b, k)
+            naive = solve_msqm_serial(ctxs, b, k, use_index=False)
+            assert [(x.exec_slots, x.workers) for x in star.assignments] == [
+                (x.exec_slots, x.workers) for x in naive.assignments
+            ]
+            assert star.conflicts == naive.conflicts
+            assert star.q_sum == pytest.approx(naive.q_sum, rel=1e-12)
+            executed += star.steps
+        assert executed > 0
 
     @pytest.mark.parametrize(
         "seed,n_exec",
@@ -69,30 +95,35 @@ class TestIndexState:
         assert idx.h_valid[xs].all()
 
 
+def _nodes(idx):
+    """(node, l, r) for every node of the search's fixed tree."""
+    tree = idx._tree
+    return [(i, tree.l[i], tree.r[i]) for i in range(2 * idx.m - 1)]
+
+
 class TestUpperBounds:
     @pytest.mark.parametrize("seed", range(8))
     def test_node_ub_dominates_exact(self, seed):
         """Eq-6-derived node bounds must upper-bound every exact heuristic
-        inside the node — soundness of best-first pruning."""
+        inside the node — soundness of best-first pruning — on every node
+        of the tree, the only ranges the search bounds."""
         rng = np.random.default_rng(seed + 3)
         m, k = 32, 2
         ex = sorted(rng.choice(m, size=5, replace=False).tolist())
         costs = rng.uniform(1, 5, m)
         idx = _index_with(m, k, ex, costs)
-        for _ in range(10):
-            l = int(rng.integers(0, m - 1))
-            r = int(rng.integers(l, m))
-            ub = idx._node_ub(l, r, rem_budget=np.inf)
+        xs = np.array([x for x in range(m) if x not in ex])
+        h = dict(zip(xs.tolist(), idx.exact_heuristic(xs)[0].tolist()))
+        for node, l, r in _nodes(idx):
+            ub = idx._ub[node]
             for x in range(l, r + 1):
-                if idx.is_exec[x]:
-                    continue
-                h = idx.exact_heuristic(np.array([x]))[0][0]
-                assert ub >= h - 1e-9, (l, r, x, ub, h)
+                if x in h:
+                    assert ub >= h[x] - 1e-9, (l, r, x, ub, h[x])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_node_ub_after_update_cost_matches_fresh_index(self, seed):
-        """``update_cost`` leaves the bounds a fresh index with the new
-        costs and the same executed slots would compute."""
+        """``update_cost`` leaves the bounds and minimum costs a fresh index
+        with the new costs and the same executed slots would compute."""
         rng = np.random.default_rng(seed + 31)
         m, k = 48, 3
         ex = sorted(rng.choice(m, size=4, replace=False).tolist())
@@ -104,11 +135,24 @@ class TestUpperBounds:
             costs[slot] = rng.uniform(0.1, 8)  # below and above the rest
             idx.update_cost(int(slot), float(costs[slot]))
         fresh = _index_with(m, k, idx.exec_sorted.tolist(), costs)
-        for _ in range(40):
-            l = int(rng.integers(0, m))
-            r = int(rng.integers(l, m))
-            for b in (np.inf, 2.0):
-                assert idx._node_ub(l, r, b) == fresh._node_ub(l, r, b), (l, r, b)
+        for node, l, r in _nodes(idx):
+            assert idx._ub[node] == fresh._ub[node], (l, r)
+            assert idx._den[node] == fresh._den[node], (l, r)
+
+    def test_tree_splits_at_midpoints(self):
+        """The node skeleton is the search's recursion: every internal node
+        splits at (l + r) // 2, and slot y's single-slot node is m − 1 + y."""
+        for m in (1, 2, 3, 7, 50):
+            tree = _index_with(m, 1, [])._tree
+            assert (tree.l[0], tree.r[0]) == (0, m - 1)
+            for i in range(m - 1):
+                mid = (tree.l[i] + tree.r[i]) // 2
+                lc, rc = tree.left[i], tree.right[i]
+                assert (tree.l[lc], tree.r[lc]) == (tree.l[i], mid)
+                assert (tree.l[rc], tree.r[rc]) == (mid + 1, tree.r[i])
+                assert tree.parent[lc] == tree.parent[rc] == i
+            for y in range(m):
+                assert tree.l[m - 1 + y] == tree.r[m - 1 + y] == y
 
     @pytest.mark.parametrize("seed", range(5))
     def test_window_superset_of_affected(self, seed):
@@ -126,6 +170,54 @@ class TestUpperBounds:
             p_after = p_vector(np.array(sorted(ex + [x])), m, k)
             changed = np.nonzero(~np.isclose(p_before, p_after))[0]
             assert all(lo <= c <= hi for c in changed)
+
+
+def _search_state(idx):
+    """Every array the search reads, as bytes (bit-for-bit comparison)."""
+    arrays = {
+        "p": idx.p, "g_p": idx.g_p, "dk": idx.dk,
+        "D_sum_unexec": idx.D_sum[~idx.is_exec], "knn": np.array(idx._knn),
+        "M": idx.M, "N": idx.N, "win_lo": idx._lo, "win_hi": idx._hi,
+        "prefix": idx._prefix, "node_min_cost": idx._den,
+        "node_gain": idx._gain, "node_ub": np.array(idx._ub),
+        "q_cur": np.array(idx.q_cur),
+    }
+    return {name: a.tobytes() for name, a in arrays.items()}
+
+
+class TestIncrementalState:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("order", ["random", "evenly_spaced"])
+    def test_matches_fresh_index_after_every_call(self, k, seed, order):
+        """``commit`` and ``update_cost`` keep the state a fresh index on the
+        same executed slots and costs computes.  Evenly spaced executions
+        put slots at equal distance from two executed neighbours (k-NN
+        ties)."""
+        rng = np.random.default_rng(100 * k + seed)
+        m = int(rng.integers(3, 65))
+        costs = rng.uniform(0.5, 5, m)
+        costs[rng.random(m) < 0.1] = np.inf  # slots without workers
+        if order == "random":
+            slots = rng.permutation(m).tolist()
+        else:
+            step = int(rng.integers(2, 6))
+            slots = list(range(0, m, step)) + list(range(step // 2, m, step))
+            slots += [x for x in range(m) if x not in slots]
+        idx = VoronoiTreeIndex(m, k, costs)
+
+        def check():
+            fresh = VoronoiTreeIndex(m, k, costs, initial_exec=idx.exec_sorted.tolist())
+            assert _search_state(idx) == _search_state(fresh)
+
+        for x in slots[: int(rng.integers(m // 2, m + 1))]:
+            if rng.random() < 0.5:
+                y = int(rng.integers(m))
+                costs[y] = np.inf if rng.random() < 0.1 else rng.uniform(0.5, 5)
+                idx.update_cost(y, float(costs[y]))
+                check()
+            idx.commit(x)
+            check()
 
 
 class TestBestCandidate:
