@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.assignment import TaskContext
-from repro.core.quality import p_vector, partial_quality, quality_from_p
+from repro.core.quality import partial_quality, quality
 
 EPS = 1e-12
 
@@ -37,8 +37,19 @@ class Assignment:
     stats: dict = field(default_factory=dict)
 
 
-def _quality_of(exec_slots: list[int], m: int, k: int) -> float:
-    return quality_from_p(p_vector(np.sort(np.asarray(exec_slots, np.int64)), m, k))
+def _nearest_worker_plan(
+    ctx: TaskContext, exec_slots, cost: float, q: float, stats: dict | None = None
+) -> Assignment:
+    """A single-task plan: the slots ascending, each with its nearest worker."""
+    slots = sorted(exec_slots)
+    return Assignment(
+        task_id=ctx.task_id,
+        exec_slots=slots,
+        workers=[ctx.worker_at_rank(j, 0) for j in slots],
+        cost=cost,
+        quality=q,
+        stats=stats or {},
+    )
 
 
 @dataclass
@@ -77,7 +88,7 @@ class NaiveScorer:
         for x in range(self.m):
             if x in ex or not np.isfinite(self.costs[x]) or self.costs[x] > rem_budget:
                 continue
-            q_new = _quality_of(self.exec_slots + [x], self.m, self.k)
+            q_new = quality(self.exec_slots + [x], self.m, self.k)
             self.counters["candidates_evaluated"] += 1
             self.counters["interp_ops"] += self.m
             h = (q_new - self.q_cur) / self.costs[x]
@@ -87,7 +98,7 @@ class NaiveScorer:
 
     def commit(self, slot: int) -> None:
         self.exec_slots.append(slot)
-        self.q_cur = _quality_of(self.exec_slots, self.m, self.k)
+        self.q_cur = quality(self.exec_slots, self.m, self.k)
         self.counters["steps"] += 1
 
 
@@ -136,15 +147,8 @@ def solve_greedy(
     q_cur = scorer.q_cur if exec_slots else 0.0
     if best_single is not None and best_single_q > q_cur + EPS:
         exec_slots, spent, q_cur = [best_single], float(costs[best_single]), best_single_q
-    exec_slots = sorted(exec_slots)
-    return Assignment(
-        task_id=ctx.task_id,
-        exec_slots=exec_slots,
-        workers=[ctx.worker_at_rank(j, 0) for j in exec_slots],
-        cost=float(spent),
-        quality=float(q_cur),
-        stats=dict(scorer.counters),
-    )
+    return _nearest_worker_plan(ctx, exec_slots, float(spent), float(q_cur),
+                                dict(scorer.counters))
 
 
 def solve_sqm_approx(ctx: TaskContext, budget: float, k: int) -> Assignment:
@@ -167,15 +171,7 @@ def solve_sqm_rand(
         if spent + costs[x] <= budget:
             exec_slots.append(int(x))
             spent += float(costs[x])
-    exec_slots = sorted(exec_slots)
-    return Assignment(
-        task_id=ctx.task_id,
-        exec_slots=exec_slots,
-        workers=[ctx.worker_at_rank(j, 0) for j in exec_slots],
-        cost=spent,
-        quality=_quality_of(exec_slots, m, k),
-        stats={},
-    )
+    return _nearest_worker_plan(ctx, exec_slots, spent, quality(exec_slots, m, k))
 
 
 def solve_sqm_opt(ctx: TaskContext, budget: float, k: int) -> Assignment:
@@ -196,15 +192,7 @@ def solve_sqm_opt(ctx: TaskContext, budget: float, k: int) -> Assignment:
             c = float(sum(costs[list(combo)]))
             if c > budget:
                 continue
-            q = _quality_of(list(combo), m, k)
+            q = quality(combo, m, k)
             if q > best_q + EPS:
                 best_set, best_q, best_cost = combo, q, c
-    exec_slots = sorted(best_set)
-    return Assignment(
-        task_id=ctx.task_id,
-        exec_slots=exec_slots,
-        workers=[ctx.worker_at_rank(j, 0) for j in exec_slots],
-        cost=best_cost,
-        quality=best_q,
-        stats={},
-    )
+    return _nearest_worker_plan(ctx, best_set, best_cost, best_q)

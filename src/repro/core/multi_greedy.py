@@ -36,7 +36,6 @@ from repro.core.tree_index import VoronoiTreeIndex
 __all__ = [
     "ClaimLedger",
     "MultiResult",
-    "TaskSolverState",
     "solve_msqm_serial",
     "solve_mmqm",
     "solve_multi_rand",
@@ -53,7 +52,6 @@ class MultiResult:
 
     assignments: list[Assignment]
     conflicts: int
-    stats: dict = field(default_factory=dict)
     q_sum: float = field(init=False)
     q_min: float = field(init=False)
     total_cost: float = field(init=False)
@@ -68,7 +66,7 @@ class MultiResult:
 
 
 class ClaimLedger:
-    """The paper's Conflicting Table (Sec IV-A-2).
+    """The paper's Conflicting Table (Sec IV-A-2), and the plan it records.
 
     It holds the claimed (worker, slot) pairs and each task's current rank
     per slot; a task's *current worker* at a slot is its candidate at that
@@ -76,12 +74,17 @@ class ClaimLedger:
     ``bumps`` counts rank advances, i.e. worker conflicts.  An index from
     (slot, worker) to the tasks whose current worker it is finds a claim's
     rivals without scanning every task.
+
+    ``plan[i]`` is task ``i``'s claims so far — its executed slots, their
+    workers and its summed cost, all in commit order; :meth:`result` turns
+    the plan into a :class:`MultiResult`.
     """
 
     def __init__(self, ctxs: list[TaskContext]):
         self.ctxs = ctxs
         self.ranks = [np.zeros(c.m, dtype=np.int64) for c in ctxs]
         self.claimed: set[tuple[int, int]] = set()
+        self.plan = [Assignment(c.task_id, [], [], 0.0, 0.0) for c in ctxs]
         self.bumps = 0
         self._holders: dict[tuple[int, int], set[int]] = {}
         for i, c in enumerate(ctxs):
@@ -112,13 +115,18 @@ class ClaimLedger:
         return w
 
     def record(self, i: int, slot: int) -> tuple[int, float]:
-        """Claim task ``i``'s current worker at ``slot`` without bumping
-        rivals; returns (worker, cost)."""
+        """Claim task ``i``'s current worker at ``slot`` and add the subtask
+        to its plan, without bumping rivals; returns (worker, cost)."""
         worker = self.worker(i, slot)
         if (worker, slot) in self.claimed:
             raise ValueError(f"worker {worker} at slot {slot} is already claimed")
         self.claimed.add((worker, slot))
-        return worker, self.cost(i, slot)
+        cost = self.cost(i, slot)
+        a = self.plan[i]
+        a.exec_slots.append(slot)
+        a.workers.append(worker)
+        a.cost += cost
+        return worker, cost
 
     def claim(self, i: int, slot: int) -> tuple[int, float, list[int]]:
         """Record task ``i``'s claim and bump every other task whose current
@@ -129,58 +137,43 @@ class ClaimLedger:
             self.bump(t, slot)
         return worker, cost, rivals
 
+    def result(self, qualities, stats: list[dict] | None = None) -> MultiResult:
+        """The plan with task ``i``'s quality ``qualities[i]`` (and a copy of
+        ``stats[i]``): each task's slots ascending, its workers aligned."""
+        out = []
+        for i, (a, q) in enumerate(zip(self.plan, qualities, strict=True)):
+            picks = sorted(zip(a.exec_slots, a.workers))
+            out.append(Assignment(
+                task_id=a.task_id,
+                exec_slots=[s for s, _ in picks],
+                workers=[w for _, w in picks],
+                cost=a.cost,
+                quality=float(q),
+                stats=dict(stats[i]) if stats else {},
+            ))
+        return MultiResult(out, self.bumps)
 
-@dataclass
-class TaskSolverState:
-    """One task's live state inside a multi-task solve."""
 
-    ctx: TaskContext
-    scorer: VoronoiTreeIndex | NaiveScorer
-    exec_slots: list[int] = field(default_factory=list)
-    workers: list[int] = field(default_factory=list)
-    spent: float = 0.0
-
-    @property
-    def quality(self) -> float:
-        return float(self.scorer.q_cur)
-
-
-def _make_state(ctx: TaskContext, k: int, use_index: bool) -> TaskSolverState:
+def _scorers(ctxs: list[TaskContext], k: int, use_index: bool) -> list:
     scorer = VoronoiTreeIndex if use_index else NaiveScorer
-    return TaskSolverState(ctx=ctx, scorer=scorer(ctx.m, k, ctx.base_costs()))
+    return [scorer(c.m, k, c.base_costs()) for c in ctxs]
 
 
 def _commit(
-    states: list[TaskSolverState], ledger: ClaimLedger, i: int, slot: int
+    scorers: list, ledger: ClaimLedger, i: int, slot: int
 ) -> tuple[float, list[int]]:
     """Task ``i`` claims its current worker at ``slot`` and executes it;
     bumped rivals are repriced.  Returns (cost, bumped tasks)."""
-    worker, cost, rivals = ledger.claim(i, slot)
+    _, cost, rivals = ledger.claim(i, slot)
     for t in rivals:
-        states[t].scorer.update_cost(slot, ledger.cost(t, slot))
-    st = states[i]
-    st.scorer.commit(slot)
-    st.exec_slots.append(slot)
-    st.workers.append(worker)
-    st.spent += cost
+        scorers[t].update_cost(slot, ledger.cost(t, slot))
+    scorers[i].commit(slot)
     return cost, rivals
 
 
-def _result(states: list[TaskSolverState], ledger: ClaimLedger) -> MultiResult:
-    return MultiResult(
-        assignments=[
-            Assignment(
-                task_id=st.ctx.task_id,
-                exec_slots=list(st.exec_slots),
-                workers=list(st.workers),
-                cost=st.spent,
-                quality=st.quality,
-                stats=dict(st.scorer.counters),
-            )
-            for st in states
-        ],
-        conflicts=ledger.bumps,
-    )
+def _result(scorers: list, ledger: ClaimLedger) -> MultiResult:
+    """The ledger's plan, each task scored and counted by its scorer."""
+    return ledger.result([s.q_cur for s in scorers], [s.counters for s in scorers])
 
 
 def solve_msqm_serial(
@@ -192,21 +185,21 @@ def solve_msqm_serial(
     use_index: bool = True,
 ) -> MultiResult:
     """Serial MSQM: global lazy greedy by Δq_sum/cost with worker conflicts."""
-    states = [_make_state(c, k, use_index) for c in ctxs]
+    scorers = _scorers(ctxs, k, use_index)
     ledger = ClaimLedger(ctxs)
     spent = 0.0
     # Lazy-greedy heap of (−cached_h, task_idx, epoch); epoch invalidates.
-    epochs = [0] * len(states)
+    epochs = [0] * len(scorers)
     heap: list[tuple[float, int, int]] = []
     cached: dict[int, Candidate | None] = {}
 
     def _push(i: int) -> None:
-        cand = states[i].scorer.best_candidate(budget - spent, t_s)
+        cand = scorers[i].best_candidate(budget - spent, t_s)
         cached[i] = cand
         if cand is not None:
             heapq.heappush(heap, (-cand.heuristic, i, epochs[i]))
 
-    for i in range(len(states)):
+    for i in range(len(scorers)):
         _push(i)
     while heap:
         neg_h, i, ep = heapq.heappop(heap)
@@ -221,19 +214,17 @@ def solve_msqm_serial(
             epochs[i] += 1
             _push(i)
             continue
-        cost, rivals = _commit(states, ledger, i, slot)
+        cost, rivals = _commit(scorers, ledger, i, slot)
         spent += cost
         epochs[i] += 1
         _push(i)
         if rivals:
             # Bumped tasks' cached candidates may now be invalid (cost rose).
-            for j in range(len(states)):
+            for j in range(len(scorers)):
                 if j != i and cached.get(j) is not None and cached[j].slot == slot:
                     epochs[j] += 1
                     _push(j)
-    res = _result(states, ledger)
-    res.stats["budget"] = budget
-    return res
+    return _result(scorers, ledger)
 
 
 def solve_mmqm(
@@ -245,29 +236,27 @@ def solve_mmqm(
     use_index: bool = True,
 ) -> MultiResult:
     """MMQM: repeatedly improve the minimum-quality task (heap-ordered)."""
-    states = [_make_state(c, k, use_index) for c in ctxs]
+    scorers = _scorers(ctxs, k, use_index)
     ledger = ClaimLedger(ctxs)
     spent = 0.0
     exhausted: set[int] = set()
-    while len(exhausted) < len(states):
+    while len(exhausted) < len(scorers):
         # Weakest task that can still act.
         order = sorted(
-            (st.quality, i) for i, st in enumerate(states) if i not in exhausted
+            (s.q_cur, i) for i, s in enumerate(scorers) if i not in exhausted
         )
         progressed = False
         for _, i in order:
-            cand = states[i].scorer.best_candidate(budget - spent, t_s)
+            cand = scorers[i].best_candidate(budget - spent, t_s)
             if cand is None:
                 exhausted.add(i)
                 continue
-            spent += _commit(states, ledger, i, cand.slot)[0]
+            spent += _commit(scorers, ledger, i, cand.slot)[0]
             progressed = True
             break
         if not progressed:
             break
-    res = _result(states, ledger)
-    res.stats["budget"] = budget
-    return res
+    return _result(scorers, ledger)
 
 
 def solve_multi_rand(
@@ -275,7 +264,7 @@ def solve_multi_rand(
 ) -> MultiResult:
     """Rand baseline for the multi-task case: random (task, slot) picks with
     nearest-unclaimed-worker assignment until the budget is exhausted."""
-    states = [_make_state(c, k, use_index=True) for c in ctxs]
+    scorers = _scorers(ctxs, k, use_index=True)
     ledger = ClaimLedger(ctxs)
     g = np.random.default_rng(seed)
     pairs = [
@@ -287,5 +276,5 @@ def solve_multi_rand(
         cost = ledger.cost(i, slot)
         if not np.isfinite(cost) or spent + cost > budget:
             continue
-        spent += _commit(states, ledger, i, slot)[0]
-    return _result(states, ledger)
+        spent += _commit(scorers, ledger, i, slot)[0]
+    return _result(scorers, ledger)

@@ -11,11 +11,11 @@ to the executors once per solve, as a broadcast variable.  The global
 budget is split across groups proportionally to group size (the paper does
 not specify the split — DESIGN.md §5).
 
-The per-group result rows (one per executed subtask, plus a sentinel
-``slot = −1`` row carrying the quality of tasks with no executions) are
-reassembled into a :class:`repro.core.multi_greedy.MultiResult` on the
-driver.  Every row also carries its group's worker-conflict count (the
-serial greedy's rank bumps); the result reports their sum over groups.
+The stage returns one row per task — its executed slots and their workers
+as ``array<long>`` columns, its cost and quality — and the driver reads the
+rows, in task-id order, as the :class:`repro.core.multi_greedy.MultiResult`.
+Every row also carries its group's worker-conflict count (the serial
+greedy's rank bumps); the result reports their sum over groups.
 """
 from __future__ import annotations
 
@@ -30,10 +30,10 @@ from repro.workloads import Workload
 
 _STATE_SCHEMA = "group_id long, task_id array<long>"
 _OUT_COLUMNS = [
-    "task_id", "group_id", "slot", "worker_id", "cost", "quality", "conflicts",
+    "task_id", "group_id", "exec_slots", "workers", "cost", "quality", "conflicts",
 ]
 _OUT_SCHEMA = (
-    "task_id long, group_id long, slot long, worker_id long, "
+    "task_id long, group_id long, exec_slots array<long>, workers array<long>, "
     "cost double, quality double, conflicts long"
 )
 
@@ -51,7 +51,7 @@ def solve_msqm_group_parallel(
     ctxs = build_task_contexts(wl)
     groups, _, gstats = build_groups(ctxs)
     if not ctxs:
-        return MultiResult(assignments=[], conflicts=0, stats=dict(gstats)), gstats
+        return MultiResult([], 0), gstats
     state = (
         groups.sort_values("task_id")
         .groupby("group_id")["task_id"]
@@ -61,20 +61,15 @@ def solve_msqm_group_parallel(
     n_total = len(ctxs)
 
     def run_group(g) -> list[tuple]:
-        """Serial MSQM on one group's state row: its result rows."""
+        """Serial MSQM on one group's state row: one result row per task."""
         group_ctxs = [ctxs_bc.value[t] for t in g.task_id]
         gb = budget * len(group_ctxs) / n_total
         res = solve_msqm_serial(group_ctxs, gb, k, t_s=t_s)
-        gid = int(g.group_id)
-        rows = []
-        for a in res.assignments:
-            if a.exec_slots:
-                for slot, worker in zip(a.exec_slots, a.workers):
-                    rows.append((a.task_id, gid, slot, worker, a.cost, a.quality,
-                                 res.conflicts))
-            else:
-                rows.append((a.task_id, gid, -1, -1, 0.0, a.quality, res.conflicts))
-        return rows
+        return [
+            (a.task_id, g.group_id, a.exec_slots, a.workers, a.cost, a.quality,
+             res.conflicts)
+            for a in res.assignments
+        ]
 
     def run_groups(batches):
         for pdf in batches:
@@ -90,26 +85,10 @@ def solve_msqm_group_parallel(
     finally:
         ctxs_bc.unpersist()
 
-    assignments = []
-    for tid, grp in out.groupby("task_id"):
-        slots = sorted(int(s) for s in grp["slot"] if s >= 0)
-        workers = [
-            int(w)
-            for s, w in sorted(zip(grp["slot"], grp["worker_id"]))
-            if s >= 0
-        ]
-        assignments.append(
-            Assignment(
-                task_id=int(tid),
-                exec_slots=slots,
-                workers=workers,
-                cost=float(grp["cost"].iloc[0]) if len(slots) else 0.0,
-                quality=float(grp["quality"].iloc[0]),
-            )
-        )
-    result = MultiResult(
-        assignments=assignments,
-        conflicts=int(out.groupby("group_id")["conflicts"].first().sum()),
-        stats=dict(gstats),
-    )
-    return result, gstats
+    assignments = [
+        Assignment(int(r.task_id), [int(s) for s in r.exec_slots],
+                   [int(w) for w in r.workers], float(r.cost), float(r.quality))
+        for r in out.sort_values("task_id").itertuples(index=False)
+    ]
+    conflicts = int(out.drop_duplicates("group_id")["conflicts"].sum())
+    return MultiResult(assignments, conflicts), gstats

@@ -13,14 +13,17 @@ state frame needs no shuffle, so each round is one Spark job of one stage
 whose tasks run on all cores.  The task contexts travel to the executors
 once per solve, as a broadcast variable.  For each row the stage rebuilds
 the task's Voronoi tree index from its committed state and emits a *chain*
-of up to ``chain_len`` sequential greedy proposals (slot, worker rank, cost,
+of up to ``CHAIN_LEN`` sequential greedy proposals (slot, worker rank, cost,
 Δq/c).  Within one task a chain is exactly its greedy continuation; across
 tasks, marginal gains are independent except through worker claims — so the
 master (driver) merging all chains in descending heuristic order (a heap of
 chain heads) and committing until a conflict, budget miss, or chain end
 reproduces the serial greedy order.  On a conflict the loser's chain is
 truncated, its rank for that slot is bumped in the Conflicting Table (1-NN →
-2-NN → …), and it re-proposes next round.  ``priority=False`` disables the
+2-NN → …), and it re-proposes next round.  The Conflicting Table is
+:class:`repro.core.multi_greedy.ClaimLedger`, which also records each
+task's committed slots, workers and cost: the next round's state rows are
+read from it, and so is the result.  ``priority=False`` disables the
 paper's priority adjustment (Fig 9f): chains are merged in task-id order
 instead of by heuristic value.
 """
@@ -33,11 +36,16 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.assignment import build_task_contexts
-from repro.core.greedy import Assignment
 from repro.core.multi_greedy import ClaimLedger, MultiResult
 from repro.core.quality import p_vector, quality_from_p
 from repro.core.tree_index import VoronoiTreeIndex
 from repro.workloads import Workload
+
+#: Greedy proposals per task per round.  The driver reads it when it builds
+#: the round stage, so a patched value reaches the executors.
+CHAIN_LEN = 16
+#: Guard against a round loop that never terminates.
+MAX_ROUNDS = 1000
 
 _STATE_SCHEMA = (
     "task_id long, exec_slots array<long>, ranks array<long>, rem_budget double"
@@ -100,20 +108,14 @@ def solve_msqm_task_parallel(
     k: int,
     *,
     t_s: int = 4,
-    chain_len: int = 16,
     priority: bool = True,
     num_partitions: int | None = None,
-    max_rounds: int = 1000,
 ) -> tuple[MultiResult, dict]:
     """MSQM via the master/worker round protocol.  Returns (result, tables)."""
     ctxs = build_task_contexts(wl)
-    n = len(ctxs)
-    exec_slots: list[list[int]] = [[] for _ in range(n)]
-    workers_of: list[list[int]] = [[] for _ in range(n)]
-    spent_of = np.zeros(n)
     ledger = ClaimLedger(ctxs)
     rem = float(budget)
-    active = set(range(n))
+    active = set(range(len(ctxs)))
     heartbeat: dict[int, float] = {}
     conflict_rows: list[dict] = []
     log_rows: list[dict] = []
@@ -126,14 +128,14 @@ def solve_msqm_task_parallel(
 
     ctxs_bc = spark.sparkContext.broadcast(ctxs)
     try:
-        propose = _make_propose_fn(ctxs_bc, k, t_s, chain_len)
-        while active and rounds < max_rounds:
+        propose = _make_propose_fn(ctxs_bc, k, t_s, CHAIN_LEN)
+        while active and rounds < MAX_ROUNDS:
             rounds += 1
             tids = sorted(active)
             state = pd.DataFrame(
                 {
                     "task_id": tids,
-                    "exec_slots": [exec_slots[t] for t in tids],
+                    "exec_slots": [ledger.plan[t].exec_slots for t in tids],
                     "ranks": [ledger.ranks[t].tolist() for t in tids],
                     "rem_budget": rem,
                 }
@@ -199,9 +201,6 @@ def solve_msqm_task_parallel(
                     )
                     continue
                 ledger.record(t, slot)
-                exec_slots[t].append(slot)
-                workers_of[t].append(worker)
-                spent_of[t] += cost
                 rem -= cost
                 ptr[t] += 1
                 committed_this_round += 1
@@ -217,18 +216,10 @@ def solve_msqm_task_parallel(
     finally:
         ctxs_bc.unpersist()
 
-    assignments = []
-    for t in range(n):
-        order = np.argsort(exec_slots[t])
-        slots = [exec_slots[t][i] for i in order]
-        ws = [workers_of[t][i] for i in order]
-        q = quality_from_p(p_vector(np.asarray(slots, np.int64), wl.m, k))
-        assignments.append(
-            Assignment(
-                task_id=t, exec_slots=slots, workers=ws,
-                cost=float(spent_of[t]), quality=q,
-            )
-        )
+    result = ledger.result([
+        quality_from_p(p_vector(np.sort(np.asarray(a.exec_slots, np.int64)), wl.m, k))
+        for a in ledger.plan
+    ])
     tables = {
         "heartbeat": pd.DataFrame(
             {"task_id": list(heartbeat), "heuristic": list(heartbeat.values())}
@@ -237,9 +228,4 @@ def solve_msqm_task_parallel(
         "logging": pd.DataFrame(log_rows),
         "rounds": rounds,
     }
-    result = MultiResult(
-        assignments=assignments,
-        conflicts=ledger.bumps,
-        stats={"rounds": rounds},
-    )
     return result, tables

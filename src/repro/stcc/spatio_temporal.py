@@ -21,11 +21,12 @@ footnote 2's temporal padding with m.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
 from repro.core.assignment import TaskContext
-from repro.core.greedy import EPS, Assignment
+from repro.core.greedy import EPS
 from repro.core.multi_greedy import ClaimLedger, MultiResult
 from repro.core.quality import knn_distances, partial_quality
 
@@ -110,40 +111,16 @@ def stcc_score(
 ) -> MultiResult:
     """Score a multi-task plan under the combined metric.
 
-    Each assignment keeps its workers and cost, with its slots sorted, and
-    gets its task's STCC quality; ``conflicts`` is the plan's.
+    Each assignment keeps its slots, workers and cost, and gets its task's
+    STCC quality; ``conflicts`` is the plan's.
     """
     m, locs, diag = _geometry(ctxs, domain)
     exec_sets = [set(a.exec_slots) for a in plan.assignments]
     q, _ = stcc_quality(exec_sets, locs, m, k, w_s, w_t, diag)
-    assignments = []
-    for a, q_i in zip(plan.assignments, q):
-        picks = sorted(zip(a.exec_slots, a.workers))
-        assignments.append(Assignment(
-            task_id=a.task_id,
-            exec_slots=[s for s, _ in picks],
-            workers=[w for _, w in picks],
-            cost=a.cost,
-            quality=float(q_i),
-        ))
     return MultiResult(
-        assignments=assignments,
-        conflicts=plan.conflicts,
-        stats={"w_s": w_s, "w_t": w_t},
+        [replace(a, quality=float(q_i)) for a, q_i in zip(plan.assignments, q)],
+        plan.conflicts,
     )
-
-
-def _empty_plan(ctxs: list[TaskContext]) -> list[Assignment]:
-    return [Assignment(c.task_id, [], [], 0.0, 0.0) for c in ctxs]
-
-
-def _claim(plan: list[Assignment], ledger: ClaimLedger, i: int, slot: int) -> float:
-    """Task ``i`` claims its current worker at ``slot``; returns the cost."""
-    worker, cost, _ = ledger.claim(i, slot)
-    plan[i].exec_slots.append(slot)
-    plan[i].workers.append(worker)
-    plan[i].cost += cost
-    return cost
 
 
 def solve_stcc_greedy(
@@ -159,7 +136,6 @@ def solve_stcc_greedy(
     n = len(ctxs)
     m, locs, diag = _geometry(ctxs, domain)
     exec_sets: list[set[int]] = [set() for _ in range(n)]
-    plan = _empty_plan(ctxs)
     ledger = ClaimLedger(ctxs)
     spent = 0.0
     _, q_cur = stcc_quality(exec_sets, locs, m, k, w_s, w_t, diag)
@@ -181,25 +157,23 @@ def solve_stcc_greedy(
         if best is None:
             break
         _, i, slot, q_cur = best
-        spent += _claim(plan, ledger, i, slot)
+        spent += ledger.claim(i, slot)[1]
         exec_sets[i].add(slot)
-    return stcc_score(ctxs, MultiResult(plan, ledger.bumps), k,
-                      w_s=w_s, w_t=w_t, domain=domain)
+    return ledger.result(stcc_quality(exec_sets, locs, m, k, w_s, w_t, diag)[0])
 
 
 def _execute(
     ctxs: list[TaskContext], picks: list[tuple[int, int]], budget: float
-) -> MultiResult | None:
+) -> ClaimLedger | None:
     """Claim the (task, slot) ``picks`` in order; None if one is unaffordable."""
-    plan = _empty_plan(ctxs)
     ledger = ClaimLedger(ctxs)
     spent = 0.0
     for i, slot in picks:
         c = ledger.cost(i, slot)
         if not np.isfinite(c) or spent + c > budget:
             return None
-        spent += _claim(plan, ledger, i, slot)
-    return MultiResult(plan, ledger.bumps)
+        spent += ledger.claim(i, slot)[1]
+    return ledger
 
 
 def solve_stcc_opt(
@@ -236,11 +210,12 @@ def solve_stcc_opt(
         for combo in itertools.combinations(range(len(pairs)), r):
             if base_costs[list(combo)].sum() > budget * 1.5:
                 continue  # cheap reject; exact cost checked below
-            plan = _execute(ctxs, [pairs[ci] for ci in combo], budget)
-            if plan is None:
+            ledger = _execute(ctxs, [pairs[ci] for ci in combo], budget)
+            if ledger is None:
                 continue
-            exec_sets = [set(a.exec_slots) for a in plan.assignments]
+            exec_sets = [set(a.exec_slots) for a in ledger.plan]
             _, q_sum = stcc_quality(exec_sets, locs, m, k, w_s, w_t, diag)
             if q_sum > best_q + EPS:
-                best, best_q = plan, q_sum
-    return stcc_score(ctxs, best, k, w_s=w_s, w_t=w_t, domain=domain)
+                best, best_q = ledger, q_sum
+    exec_sets = [set(a.exec_slots) for a in best.plan]
+    return best.result(stcc_quality(exec_sets, locs, m, k, w_s, w_t, diag)[0])

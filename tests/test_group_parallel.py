@@ -6,6 +6,7 @@ from repro.core.multi_greedy import solve_msqm_serial
 from repro.core.quality import quality
 from repro.sparkpar.group_parallel import solve_msqm_group_parallel
 from repro.workloads import gen_workload
+from tests.plans import assert_valid_plan, temporal_quality
 
 
 #: Group-parallel output on ``_instance(dist="poi")`` (6 tasks, 300 workers,
@@ -87,6 +88,13 @@ class TestGroupParallel:
         rs = solve_msqm_serial(ctxs, b, 3)
         assert rs.conflicts > 0
         assert rg.conflicts == rs.conflicts
+
+    @pytest.mark.parametrize("dist", ["gaussian", "poi"])
+    def test_plan_valid(self, spark, dist):
+        wl, ctxs, b = _instance(n_tasks=8, n_workers=80, m=12, seed=2, dist=dist)
+        r, _ = solve_msqm_group_parallel(spark, wl, b, 3)
+        assert r.steps > 0
+        assert_valid_plan(wl, ctxs, r, b, temporal_quality(wl.m, 3))
 
     def test_stats_populated(self, spark):
         wl, _, b = _instance(seed=2)

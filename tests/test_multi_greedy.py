@@ -14,7 +14,8 @@ from repro.core.multi_greedy import (
     solve_multi_rand,
 )
 from repro.core.quality import quality
-from repro.workloads import gen_workload
+from repro.workloads import DISTRIBUTIONS, gen_workload
+from tests.plans import assert_valid_plan, temporal_quality
 
 
 def _instance(n_tasks=6, n_workers=300, m=24, seed=0, dist="uniform"):
@@ -139,6 +140,46 @@ class TestMultiRand:
         ]
 
 
+#: The serial multi-task solvers, each with the scorer it runs on.
+_SOLVERS = {
+    "msqm-index": lambda c, b, k: solve_msqm_serial(c, b, k),
+    "msqm-naive": lambda c, b, k: solve_msqm_serial(c, b, k, use_index=False),
+    "mmqm-index": lambda c, b, k: solve_mmqm(c, b, k),
+    "mmqm-naive": lambda c, b, k: solve_mmqm(c, b, k, use_index=False),
+    "rand": lambda c, b, k: solve_multi_rand(c, b, k, seed=1),
+}
+
+
+@pytest.mark.parametrize("solver", list(_SOLVERS))
+class TestEverySerialPlan:
+    @pytest.mark.parametrize("dist", DISTRIBUTIONS)
+    def test_valid_under_contention(self, solver, dist):
+        wl, ctxs, b = _instance(n_tasks=8, n_workers=60, m=12, seed=1,
+                                dist=dist)
+        r = _SOLVERS[solver](ctxs, b, 3)
+        assert r.steps > 0
+        assert_valid_plan(wl, ctxs, r, b, temporal_quality(wl.m, 3))
+
+    def test_no_tasks(self, solver):
+        wl = gen_workload(n_tasks=0, n_workers=50, m=10, seed=0)
+        r = _SOLVERS[solver](build_task_contexts(wl), 100.0, 3)
+        assert r.assignments == []
+        assert (r.conflicts, r.q_sum, r.q_min, r.steps) == (0, 0.0, 0.0, 0)
+
+    def test_one_task(self, solver):
+        wl, ctxs, b = _instance(n_tasks=1, seed=0)
+        r = _SOLVERS[solver](ctxs, b, 3)
+        assert r.steps > 0
+        assert r.conflicts == 0
+        assert_valid_plan(wl, ctxs, r, b, temporal_quality(wl.m, 3))
+
+    def test_zero_budget(self, solver):
+        wl, ctxs, _ = _instance(seed=0)
+        r = _SOLVERS[solver](ctxs, 0.0, 3)
+        assert (r.steps, r.total_cost, r.q_sum, r.conflicts) == (0, 0.0, 0.0, 0)
+        assert_valid_plan(wl, ctxs, r, 0.0, temporal_quality(wl.m, 3))
+
+
 def _ctx(task_id, workers, costs, m=2):
     """A task whose candidates at every slot are ``workers`` (ascending cost)."""
     return TaskContext(
@@ -186,6 +227,24 @@ class TestClaimLedger:
         assert [ledger.worker(t, 1) for t in range(4)] == [10, 12, 11, 11]
         assert [ledger.worker(t, 0) for t in range(4)] == [10, 10, 11, 10]
         assert ledger.bumps == 2
+
+    def test_plan_records_claims_and_result_sorts_them(self):
+        ctxs = [_ctx(0, [10, 11], [1.0, 2.0], m=3),
+                _ctx(1, [10, 11], [0.5, 4.0], m=3)]
+        ledger = ClaimLedger(ctxs)
+        ledger.claim(0, 2)  # worker 10; task 1 is bumped to 11 at slot 2
+        ledger.claim(1, 2)
+        ledger.record(0, 0)
+        # The plan keeps commit order.
+        assert [(a.exec_slots, a.workers, a.cost) for a in ledger.plan] == [
+            ([2, 0], [10, 10], 2.0), ([2], [11], 4.0)]
+        r = ledger.result([0.25, 0.5], [{"steps": 2}, {"steps": 1}])
+        assert [(a.exec_slots, a.workers, a.cost, a.quality, a.stats)
+                for a in r.assignments] == [
+            ([0, 2], [10, 10], 2.0, 0.25, {"steps": 2}),
+            ([2], [11], 4.0, 0.5, {"steps": 1}),
+        ]
+        assert (r.conflicts, r.q_sum, r.total_cost, r.steps) == (1, 0.75, 6.0, 3)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rivals_match_a_scan_of_every_task(self, seed):

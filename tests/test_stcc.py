@@ -13,6 +13,7 @@ from repro.stcc.spatio_temporal import (
     stcc_score,
 )
 from repro.workloads import DISTRIBUTIONS, gen_workload
+from tests.plans import assert_valid_plan
 
 
 def _instance(n_tasks=4, n_workers=200, m=16, seed=0, dist="uniform"):
@@ -35,34 +36,13 @@ def _approx(wl, ctxs, b, k):
 
 
 def _assert_valid_plan(wl, ctxs, res, budget, k, w_s=0.3, w_t=0.7):
-    """No (worker, slot) claimed twice; each subtask costs the distance to
-    its worker's position at that slot; the budget holds; the reported
-    qualities are the STCC metric of the executed slots."""
-    pos = {
-        (int(w), int(s)): (x, y)
-        for w, s, x, y in wl.workers[["worker_id", "slot", "x", "y"]]
-        .itertuples(index=False)
-    }
-    used = set()
-    for ctx, a in zip(ctxs, res.assignments, strict=True):
-        assert a.task_id == ctx.task_id
-        assert a.exec_slots == sorted(a.exec_slots)
-        assert len(a.workers) == len(a.exec_slots)
-        dist = 0.0
-        for slot, worker in zip(a.exec_slots, a.workers):
-            assert (worker, slot) not in used
-            used.add((worker, slot))
-            x, y = pos[(worker, slot)]
-            dist += np.hypot(x - ctx.x, y - ctx.y)
-        assert a.cost == pytest.approx(dist, rel=1e-9, abs=1e-9)
-    assert res.total_cost <= budget + 1e-6
-    locs = np.array([[c.x, c.y] for c in ctxs])
-    q, q_sum = stcc_quality([set(a.exec_slots) for a in res.assignments],
-                            locs, ctxs[0].m, k, w_s, w_t,
-                            wl.domain * np.sqrt(2))
-    np.testing.assert_allclose([a.quality for a in res.assignments], q,
-                               rtol=1e-12, atol=1e-12)
-    assert res.q_sum == pytest.approx(q_sum, rel=1e-12, abs=1e-12)
+    """The shared plan check, with the STCC metric as the quality."""
+    locs = np.array([[c.x, c.y] for c in ctxs]).reshape(-1, 2)
+    diag = wl.domain * np.sqrt(2)
+    assert_valid_plan(
+        wl, ctxs, res, budget,
+        lambda exec_sets: stcc_quality(exec_sets, locs, wl.m, k, w_s, w_t, diag)[0],
+    )
 
 
 class TestStccMetric:

@@ -4,8 +4,10 @@ import pytest
 from repro.core.assignment import average_task_cost, build_task_contexts
 from repro.core.multi_greedy import solve_msqm_serial
 from repro.core.quality import quality
+from repro.sparkpar import task_parallel
 from repro.sparkpar.task_parallel import solve_msqm_task_parallel
 from repro.workloads import gen_workload
+from tests.plans import assert_valid_plan, temporal_quality
 
 #: Task-parallel output on two dense instances (8 tasks, 80 workers, m=12,
 #: seed 1, 50 % budget), recorded from the chain merge that sorted every
@@ -147,7 +149,7 @@ PINNED = {
 _SETTINGS = {
     "default": {},
     "nopri": {"priority": False},
-    "chain1": {"chain_len": 1},
+    "chain1": {},  # task_parallel.CHAIN_LEN patched to 1
     "part2": {"num_partitions": 2},
 }
 _LOG_CODES = {(True, "ok"): "", (False, "conflict"): "c", (False, "budget"): "b"}
@@ -217,6 +219,14 @@ class TestTaskParallel:
         rt, _ = solve_msqm_task_parallel(spark, wl, b, 3)
         assert rt.q_sum >= 0.98 * rs.q_sum
 
+    @pytest.mark.parametrize("setting", ["default", "nopri", "part2"])
+    def test_plan_valid(self, spark, setting):
+        wl, ctxs, b = _instance(n_tasks=8, n_workers=80, m=12, seed=2,
+                                dist="gaussian")
+        r, _ = solve_msqm_task_parallel(spark, wl, b, 3, **_SETTINGS[setting])
+        assert r.steps > 0
+        assert_valid_plan(wl, ctxs, r, b, temporal_quality(wl.m, 3))
+
     def test_tables_populated(self, spark):
         wl, _, b = _instance(n_tasks=6, n_workers=60, m=12, seed=1,
                              dist="poi")
@@ -236,9 +246,10 @@ class TestTaskParallel:
         # Priority scheduling follows the greedy order; it should not lose.
         assert r1.q_sum >= r0.q_sum - 0.02 * abs(r0.q_sum)
 
-    def test_chain_len_one_still_works(self, spark):
+    def test_chain_len_one_still_works(self, spark, monkeypatch):
+        monkeypatch.setattr(task_parallel, "CHAIN_LEN", 1)
         wl, _, b = _instance(n_tasks=3, m=10, seed=3)
-        r, tables = solve_msqm_task_parallel(spark, wl, b, 3, chain_len=1)
+        r, tables = solve_msqm_task_parallel(spark, wl, b, 3)
         assert r.steps > 0
         assert tables["rounds"] >= r.steps / 3
 
@@ -264,10 +275,12 @@ class TestTaskParallel:
 
     @pytest.mark.parametrize("setting", list(_SETTINGS))
     @pytest.mark.parametrize("dist", ["gaussian", "poi"])
-    def test_output_pinned(self, spark, dist, setting):
+    def test_output_pinned(self, spark, monkeypatch, dist, setting):
         """Plans, conflicts, rounds and the Logging Table's order are those
         of the sort-based chain merge (``part2`` repartitions the state and
         must not change the default's output)."""
+        if setting == "chain1":
+            monkeypatch.setattr(task_parallel, "CHAIN_LEN", 1)
         wl = gen_workload(n_tasks=8, n_workers=80, m=12, dist=dist, seed=1)
         b = 0.5 * average_task_cost(build_task_contexts(wl)) * wl.n_tasks
         r, tables = solve_msqm_task_parallel(spark, wl, b, 3,
