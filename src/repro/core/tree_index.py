@@ -394,6 +394,7 @@ def solve_sqm_approx_star(
     idx = VoronoiTreeIndex(ctx.m, k, ctx.base_costs())
     a = solve_greedy(ctx, idx, budget, t_s=t_s)
     a.stats["timers"] = dict(idx.timers)
-    total = max(1, a.stats["candidates_total"])
-    a.stats["pruned_frac"] = 1.0 - a.stats["candidates_evaluated"] / total
+    # Nothing affordable means nothing was considered, so nothing pruned.
+    total = a.stats["candidates_total"]
+    a.stats["pruned_frac"] = 1.0 - a.stats["candidates_evaluated"] / total if total else 0.0
     return a

@@ -293,40 +293,38 @@ def fig9c(spark, *, n_tasks_list=(8, 16, 32), m: int = 100,
     )
 
 
-def fig9d(spark, *, n_tasks_list=(8, 16, 32), m: int = 100,
-          n_workers: int = 2000, seed: int = 0) -> pd.DataFrame:
-    """MSQM time vs number of tasks (serial vs task-parallel)."""
+def _serial_vs_task_parallel(spark, sizes, n_workers: int,
+                             seed: int) -> pd.DataFrame:
+    """Serial and task-parallel MSQM wall time per (|T|, m) of ``sizes``."""
     from repro.sparkpar.task_parallel import solve_msqm_task_parallel
 
     rows = []
-    for n in n_tasks_list:
+    for n, m in sizes:
         wl, ctxs, b = _instance(n, m, n_workers, seed)
         t0 = time.perf_counter()
         solve_msqm_serial(ctxs, b, DEFAULT_K)
-        t_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
+        t1 = time.perf_counter()
         solve_msqm_task_parallel(spark, wl, b, DEFAULT_K)
-        t_p = time.perf_counter() - t0
-        rows.append((n, t_s, t_p))
-    return pd.DataFrame(rows, columns=["n_tasks", "serial_s", "task_parallel_s"])
+        rows.append((n, m, t1 - t0, time.perf_counter() - t1))
+    return pd.DataFrame(
+        rows, columns=["n_tasks", "m", "serial_s", "task_parallel_s"]
+    )
+
+
+def fig9d(spark, *, n_tasks_list=(8, 16, 32), m: int = 100,
+          n_workers: int = 2000, seed: int = 0) -> pd.DataFrame:
+    """MSQM time vs number of tasks (serial vs task-parallel)."""
+    return _serial_vs_task_parallel(
+        spark, [(n, m) for n in n_tasks_list], n_workers, seed
+    ).drop(columns="m")
 
 
 def fig9e(spark, *, n_tasks: int = 16, ms=(60, 100, 200),
           n_workers: int = 2000, seed: int = 0) -> pd.DataFrame:
     """MSQM time vs m (serial vs task-parallel)."""
-    from repro.sparkpar.task_parallel import solve_msqm_task_parallel
-
-    rows = []
-    for m in ms:
-        wl, ctxs, b = _instance(n_tasks, m, n_workers, seed)
-        t0 = time.perf_counter()
-        solve_msqm_serial(ctxs, b, DEFAULT_K)
-        t_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        solve_msqm_task_parallel(spark, wl, b, DEFAULT_K)
-        t_p = time.perf_counter() - t0
-        rows.append((m, t_s, t_p))
-    return pd.DataFrame(rows, columns=["m", "serial_s", "task_parallel_s"])
+    return _serial_vs_task_parallel(
+        spark, [(n_tasks, m) for m in ms], n_workers, seed
+    ).drop(columns="n_tasks")
 
 
 def fig9f(spark, *, n_tasks: int = 16, m: int = 100, n_workers: int = 2000,
@@ -347,40 +345,38 @@ def fig9f(spark, *, n_tasks: int = 16, m: int = 100, n_workers: int = 2000,
     )
 
 
-def fig9g(*, n_tasks_list=(8, 16, 32), m: int = 60, n_workers: int = 2000,
-          seed: int = 0) -> pd.DataFrame:
-    """MMQM time vs |T|: Approx vs Approx*."""
+def _mmqm_approx_vs_star(sizes, n_workers: int, seed: int) -> pd.DataFrame:
+    """MMQM wall time and q_min, Approx vs Approx*, per (|T|, m) of
+    ``sizes``."""
     rows = []
-    for n in n_tasks_list:
+    for n, m in sizes:
         _, ctxs, b = _instance(n, m, n_workers, seed)
         t0 = time.perf_counter()
         ra = solve_mmqm(ctxs, b, DEFAULT_K, use_index=False)
-        t_a = time.perf_counter() - t0
-        t0 = time.perf_counter()
+        t1 = time.perf_counter()
         rs = solve_mmqm(ctxs, b, DEFAULT_K, use_index=True)
-        t_s = time.perf_counter() - t0
-        rows.append((n, t_a, t_s, t_a / t_s, ra.q_min, rs.q_min))
+        t_a, t_s = t1 - t0, time.perf_counter() - t1
+        rows.append((n, m, t_a, t_s, t_a / t_s, ra.q_min, rs.q_min))
     return pd.DataFrame(
         rows,
-        columns=["n_tasks", "approx_s", "star_s", "speedup",
+        columns=["n_tasks", "m", "approx_s", "star_s", "speedup",
                  "approx_q_min", "star_q_min"],
     )
+
+
+def fig9g(*, n_tasks_list=(8, 16, 32), m: int = 60, n_workers: int = 2000,
+          seed: int = 0) -> pd.DataFrame:
+    """MMQM time vs |T|: Approx vs Approx*."""
+    return _mmqm_approx_vs_star(
+        [(n, m) for n in n_tasks_list], n_workers, seed
+    ).drop(columns="m")
 
 
 def fig9h(*, n_tasks: int = 8, ms=(60, 100, 200), n_workers: int = 2000,
           seed: int = 0) -> pd.DataFrame:
     """MMQM time vs m: Approx vs Approx*."""
-    rows = []
-    for m in ms:
-        _, ctxs, b = _instance(n_tasks, m, n_workers, seed)
-        t0 = time.perf_counter()
-        solve_mmqm(ctxs, b, DEFAULT_K, use_index=False)
-        t_a = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        solve_mmqm(ctxs, b, DEFAULT_K, use_index=True)
-        t_s = time.perf_counter() - t0
-        rows.append((m, t_a, t_s, t_a / t_s))
-    return pd.DataFrame(rows, columns=["m", "approx_s", "star_s", "speedup"])
+    df = _mmqm_approx_vs_star([(n_tasks, m) for m in ms], n_workers, seed)
+    return df[["m", "approx_s", "star_s", "speedup"]]
 
 
 # -------------------------------------------------------------- Figure 11

@@ -66,12 +66,26 @@ class TestMultiTaskHarness:
             df.static_conflict_edges.iloc[1] >= df.static_conflict_edges.iloc[0]
         )
 
+    def test_fig9d_columns(self, spark):
+        df = ex.fig9d(spark, n_tasks_list=(2, 4), m=12, n_workers=100)
+        assert list(df.columns) == ["n_tasks", "serial_s", "task_parallel_s"]
+        assert df.n_tasks.tolist() == [2, 4]
+        assert (df[["serial_s", "task_parallel_s"]] > 0).all().all()
+
+    def test_fig9e_columns(self, spark):
+        df = ex.fig9e(spark, n_tasks=2, ms=(10, 14), n_workers=100)
+        assert list(df.columns) == ["m", "serial_s", "task_parallel_s"]
+        assert df.m.tolist() == [10, 14]
+        assert (df[["serial_s", "task_parallel_s"]] > 0).all().all()
+
     def test_fig9f_priority_rows(self, spark):
         df = ex.fig9f(spark, n_tasks=4, m=16, n_workers=200)
         assert set(df.priority) == {True, False}
 
     def test_fig9g_speedup_positive(self):
         df = ex.fig9g(n_tasks_list=(4,), m=24, n_workers=300)
+        assert list(df.columns) == ["n_tasks", "approx_s", "star_s", "speedup",
+                                    "approx_q_min", "star_q_min"]
         assert (df.speedup > 0).all()
         assert (
             (df.approx_q_min - df.star_q_min).abs() < 0.05 * df.star_q_min.abs() + 1e-6
@@ -80,6 +94,8 @@ class TestMultiTaskHarness:
     def test_fig9h_runs(self):
         df = ex.fig9h(n_tasks=3, ms=(16, 24), n_workers=300)
         assert len(df) == 2
+        assert list(df.columns) == ["m", "approx_s", "star_s", "speedup"]
+        assert df.m.tolist() == [16, 24]
 
 
 class TestStccHarness:

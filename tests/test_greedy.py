@@ -8,8 +8,11 @@ from repro.core.greedy import (
     solve_sqm_opt,
     solve_sqm_rand,
 )
+from repro.core.multi_greedy import MultiResult
 from repro.core.quality import quality
-from repro.workloads import gen_workload
+from repro.core.tree_index import solve_sqm_approx_star
+from repro.workloads import DISTRIBUTIONS, gen_workload
+from tests.plans import assert_valid_plan, temporal_quality
 
 APPROX_RATIO = 1 - 1 / np.sqrt(np.e)  # ≈ 0.3935
 
@@ -125,3 +128,28 @@ class TestRand:
             r = solve_sqm_rand(ctx, b, 3, seed=seed)
             diffs.append(a.quality - r.quality)
         assert np.mean(diffs) > 0
+
+
+#: The single-task solvers, each read as a one-task multi-task plan.
+_SINGLE_SOLVERS = {
+    "approx": lambda c, b, k, seed: solve_sqm_approx(c, b, k),
+    "approx-star": lambda c, b, k, seed: solve_sqm_approx_star(c, b, k),
+    "opt": lambda c, b, k, seed: solve_sqm_opt(c, b, k),
+    "rand": lambda c, b, k, seed: solve_sqm_rand(c, b, k, seed=seed),
+}
+
+
+@pytest.mark.parametrize("solver", list(_SINGLE_SOLVERS))
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+@pytest.mark.parametrize("seed", range(2))
+def test_single_task_plan_valid(solver, dist, seed):
+    """Workers active at their slots, cost their summed distances, budget
+    kept and quality the metric of the executed slots — the checks every
+    multi-task plan passes (m = 12 keeps OPT's enumeration small)."""
+    wl = gen_workload(n_tasks=1, n_workers=100, m=12, dist=dist, seed=seed)
+    ctxs = build_task_contexts(wl)
+    b = 0.25 * average_task_cost(ctxs)
+    a = _SINGLE_SOLVERS[solver](ctxs[0], b, 3, seed)
+    res = MultiResult([a], 0)
+    assert res.steps > 0
+    assert_valid_plan(wl, ctxs, res, b, temporal_quality(wl.m, 3))

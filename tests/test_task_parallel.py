@@ -1,12 +1,18 @@
 """Tests for task-level parallelization on Spark (Section IV-A-2)."""
 import pytest
 
-from repro.core.assignment import average_task_cost, build_task_contexts
+from repro.core.assignment import (
+    DEFAULT_TOP_R,
+    average_task_cost,
+    build_task_contexts,
+)
 from repro.core.multi_greedy import solve_msqm_serial
 from repro.core.quality import quality
+from repro.core.tree_index import solve_sqm_approx_star
 from repro.sparkpar import task_parallel
+from repro.sparkpar.group_parallel import solve_msqm_group_parallel
 from repro.sparkpar.task_parallel import solve_msqm_task_parallel
-from repro.workloads import gen_workload
+from repro.workloads import Workload, gen_workload
 from tests.plans import assert_valid_plan, temporal_quality
 
 #: Task-parallel output on two dense instances (8 tasks, 80 workers, m=12,
@@ -323,3 +329,32 @@ class TestTaskParallel:
             assert tracker.getStageInfo(s).numTasks >= min(
                 2, sc.defaultParallelism
             )
+
+
+class TestInfiniteCosts:
+    """Slots with no retained worker travel in the state at cost ``inf``."""
+
+    def test_no_worker_instances(self, spark):
+        wl = gen_workload(n_tasks=5, n_workers=100, m=12, seed=0)
+        wl = Workload(wl.tasks, wl.workers.iloc[:0], wl.m, wl.domain)
+        ctxs = build_task_contexts(wl)
+        r, tables = solve_msqm_task_parallel(spark, wl, 100.0, 3)
+        assert tables["rounds"] == 1
+        rg, _ = solve_msqm_group_parallel(spark, wl, 100.0, 3)
+        for res in (r, rg, solve_msqm_serial(ctxs, 100.0, 3)):
+            assert [a.exec_slots for a in res.assignments] == [[]] * 5
+            assert (res.q_sum, res.steps, res.conflicts) == (0.0, 0, 0)
+        star = solve_sqm_approx_star(ctxs[0], 100.0, 3)
+        assert (star.exec_slots, star.quality, star.cost) == ([], 0.0, 0.0)
+
+    def test_bump_past_top_r_pinned(self, spark):
+        """An ample budget at |T|=16, |W|=1000, m=50 bumps one task past its
+        ``top_r`` candidates, so the next round's state carries an ``inf``
+        cost.  Values recorded from the protocol that shipped worker ranks
+        and priced proposals on the executors."""
+        wl = gen_workload(n_tasks=16, n_workers=1000, m=50, seed=0)
+        r, tables = solve_msqm_task_parallel(spark, wl, 1e9, 3)
+        assert (tables["conflicting"].bumped_to_rank > DEFAULT_TOP_R).sum() == 1
+        assert (r.q_sum, r.steps, r.conflicts, tables["rounds"]) == (
+            90.2983147102736, 799, 204, 5,
+        )

@@ -9,7 +9,7 @@ from repro.core.greedy import solve_sqm_approx
 from repro.core.multi_greedy import solve_msqm_serial
 from repro.core.quality import p_vector, quality_from_p
 from repro.core.tree_index import VoronoiTreeIndex, solve_sqm_approx_star
-from repro.workloads import gen_workload
+from repro.workloads import Workload, gen_workload
 
 
 def _index_with(m, k, exec_slots, costs=None):
@@ -323,6 +323,19 @@ class TestApproxStarSolver:
         assert 0.0 <= s.stats["pruned_frac"] <= 1.0
         assert s.stats["candidates_evaluated"] > 0
         assert s.stats["steps"] == len(s.exec_slots) or s.stats["steps"] >= 1
+
+    @pytest.mark.parametrize("drop_workers", [False, True],
+                             ids=["zero-budget", "no-workers"])
+    def test_nothing_affordable_prunes_nothing(self, drop_workers):
+        """With no affordable candidate nothing is considered, so the
+        pruned share is 0, not 1 (perfbench's ``pruned_share`` rule)."""
+        wl = gen_workload(n_tasks=1, n_workers=200, m=30, seed=5)
+        if drop_workers:
+            wl = Workload(wl.tasks, wl.workers.iloc[:0], wl.m, wl.domain)
+        ctx = build_task_contexts(wl)[0]
+        s = solve_sqm_approx_star(ctx, 1e9 if drop_workers else 0.0, 3)
+        assert (s.exec_slots, s.stats["candidates_total"]) == ([], 0)
+        assert s.stats["pruned_frac"] == 0.0
 
     @pytest.mark.parametrize(
         "kwargs,expected",
