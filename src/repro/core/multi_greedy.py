@@ -8,13 +8,20 @@ current lowest-cost candidate at slot t was w is bumped to its next-ranked
 (2nd-, 3rd-, … nearest) unclaimed worker — the "k-th NN" field of the
 Conflicting Table, kept by :class:`ClaimLedger`.
 
+Serial MSQM is the one implementation of Algorithm 1's lines 4–9.  A single
+task is its |T| = 1 case: :func:`solve_single_task` adds line 3's
+best-single-subtask fallback and is what the single-task Approx and Approx*
+entry points run.
+
 Lazy greedy is sound here: a task's marginal gains only decrease as it
 executes more slots (submodularity, Lemma 2) and its per-slot costs only
 increase (rank bumps), so a cached best-candidate value is always an upper
 bound and can be re-validated on pop.
 
 MMQM (minimum quality, Problem 3) keeps tasks in a heap by current quality
-and repeatedly lets the weakest task execute its best subtask.
+and repeatedly lets the weakest task execute its best subtask.  Only the
+committing task's key moves (a bump changes costs, not qualities), and a task
+with no affordable candidate never gets one back, so it leaves the heap.
 
 Both accept ``use_index=True`` (Approx*: per-task Voronoi tree index) or
 ``False`` (Approx: :class:`repro.core.greedy.NaiveScorer`, full
@@ -29,14 +36,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.assignment import TaskContext
-from repro.core.greedy import Assignment, Candidate, NaiveScorer
+from repro.core.greedy import EPS, Assignment, Candidate, NaiveScorer
 from repro.core.quality import p_vector  # noqa: F401  (perfbench/layertrace.py patches it here)
+from repro.core.quality import partial_quality, quality
 from repro.core.tree_index import VoronoiTreeIndex
 
 __all__ = [
     "ClaimLedger",
     "MultiResult",
     "solve_msqm_serial",
+    "solve_single_task",
     "solve_mmqm",
     "solve_multi_rand",
 ]
@@ -172,8 +181,11 @@ def _commit(
 
 
 def _result(scorers: list, ledger: ClaimLedger) -> MultiResult:
-    """The ledger's plan, each task scored and counted by its scorer."""
-    return ledger.result([s.q_cur for s in scorers], [s.counters for s in scorers])
+    """The ledger's plan, each task scored, counted and timed by its scorer."""
+    return ledger.result(
+        [s.q_cur for s in scorers],
+        [{**s.counters, "timers": dict(s.timers)} for s in scorers],
+    )
 
 
 def solve_msqm_serial(
@@ -191,7 +203,7 @@ def solve_msqm_serial(
     # Lazy-greedy heap of (−cached_h, task_idx, epoch); epoch invalidates.
     epochs = [0] * len(scorers)
     heap: list[tuple[float, int, int]] = []
-    cached: dict[int, Candidate | None] = {}
+    cached: list[Candidate | None] = [None] * len(scorers)
 
     def _push(i: int) -> None:
         cand = scorers[i].best_candidate(budget - spent, t_s)
@@ -205,10 +217,7 @@ def solve_msqm_serial(
         neg_h, i, ep = heapq.heappop(heap)
         if ep != epochs[i]:
             continue  # stale entry
-        cand = cached.get(i)
-        if cand is None:
-            continue
-        slot = cand.slot
+        slot = cached[i].slot
         if ledger.cost(i, slot) > budget - spent:
             # Re-evaluate under the tighter remaining budget.
             epochs[i] += 1
@@ -218,12 +227,12 @@ def solve_msqm_serial(
         spent += cost
         epochs[i] += 1
         _push(i)
-        if rivals:
-            # Bumped tasks' cached candidates may now be invalid (cost rose).
-            for j in range(len(scorers)):
-                if j != i and cached.get(j) is not None and cached[j].slot == slot:
-                    epochs[j] += 1
-                    _push(j)
+        # The claim raised the cost of its bumped rivals only, and only at
+        # this slot: just their candidates there may now be invalid.
+        for j in rivals:
+            if cached[j] is not None and cached[j].slot == slot:
+                epochs[j] += 1
+                _push(j)
     return _result(scorers, ledger)
 
 
@@ -239,23 +248,16 @@ def solve_mmqm(
     scorers = _scorers(ctxs, k, use_index)
     ledger = ClaimLedger(ctxs)
     spent = 0.0
-    exhausted: set[int] = set()
-    while len(exhausted) < len(scorers):
-        # Weakest task that can still act.
-        order = sorted(
-            (s.q_cur, i) for i, s in enumerate(scorers) if i not in exhausted
-        )
-        progressed = False
-        for _, i in order:
-            cand = scorers[i].best_candidate(budget - spent, t_s)
-            if cand is None:
-                exhausted.add(i)
-                continue
-            spent += _commit(scorers, ledger, i, cand.slot)[0]
-            progressed = True
-            break
-        if not progressed:
-            break
+    heap = [(s.q_cur, i) for i, s in enumerate(scorers)]
+    heapq.heapify(heap)
+    while heap:
+        i = heap[0][1]  # the weakest task that may still act
+        cand = scorers[i].best_candidate(budget - spent, t_s)
+        if cand is None:
+            heapq.heappop(heap)
+            continue
+        spent += _commit(scorers, ledger, i, cand.slot)[0]
+        heapq.heapreplace(heap, (scorers[i].q_cur, i))
     return _result(scorers, ledger)
 
 
@@ -263,8 +265,8 @@ def solve_multi_rand(
     ctxs: list[TaskContext], budget: float, k: int, *, seed: int = 0
 ) -> MultiResult:
     """Rand baseline for the multi-task case: random (task, slot) picks with
-    nearest-unclaimed-worker assignment until the budget is exhausted."""
-    scorers = _scorers(ctxs, k, use_index=True)
+    nearest-unclaimed-worker assignment until the budget is exhausted.
+    Each task is scored once, on its final plan."""
     ledger = ClaimLedger(ctxs)
     g = np.random.default_rng(seed)
     pairs = [
@@ -276,5 +278,47 @@ def solve_multi_rand(
         cost = ledger.cost(i, slot)
         if not np.isfinite(cost) or spent + cost > budget:
             continue
-        spent += _commit(scorers, ledger, i, slot)[0]
-    return _result(scorers, ledger)
+        spent += ledger.claim(i, slot)[1]
+    return ledger.result(
+        [quality(a.exec_slots, c.m, k) for a, c in zip(ledger.plan, ctxs)]
+    )
+
+
+def _best_single_subtask(
+    m: int, k: int, costs: np.ndarray, budget: float
+) -> tuple[int | None, float]:
+    """Algorithm 1 line 3: the affordable single subtask of highest quality.
+
+    With exactly one executed slot x, every other slot y has one real
+    neighbour at |y−x| plus (k−1) missing neighbours at distance m, so the
+    whole sweep vectorizes to O(m²).  Qualities within ``EPS`` of the best
+    tie, and the lowest slot among them wins.
+    """
+    cand = np.nonzero(np.isfinite(costs) & (costs <= budget))[0]
+    if len(cand) == 0:
+        return None, -np.inf
+    ys = np.arange(m)
+    dist = np.abs(ys[None, :] - cand[:, None]).astype(np.float64)
+    sums = dist + (k - 1) * m
+    p = np.clip((1.0 - sums / (k * m)) / m, 0.0, None)
+    gp = partial_quality(p)
+    gp[np.arange(len(cand)), cand] = float(partial_quality(1.0 / m))
+    q = gp.sum(axis=1)
+    i = int(np.flatnonzero(q >= q.max() - EPS)[0])
+    return int(cand[i]), float(q[i])
+
+
+def solve_single_task(
+    ctx: TaskContext, budget: float, k: int, *, use_index: bool, t_s: int = 4
+) -> Assignment:
+    """Algorithm 1 on one task: serial MSQM at |T| = 1 (lines 4–9), then
+    line 10 returns the better of that plan and line 3's best single subtask
+    T′ — the fallback that gives the (1−1/√e) guarantee of budgeted
+    submodular greedy [Krause & Guestrin 2005]."""
+    a = solve_msqm_serial([ctx], budget, k, t_s=t_s, use_index=use_index).assignments[0]
+    costs = ctx.base_costs()
+    best, best_q = _best_single_subtask(ctx.m, k, costs, budget)
+    if best is not None and best_q > a.quality + EPS:
+        worker = ctx.worker_at_rank(best, 0)
+        return Assignment(ctx.task_id, [best], [worker], float(costs[best]), best_q, a.stats)
+    return a

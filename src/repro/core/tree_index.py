@@ -1,7 +1,10 @@
 """Approx*: tree-structured approximated order-k Voronoi index (Sec III-C).
 
-The index accelerates Algorithm 1's inner argmax in two ways, exactly as the
-paper describes:
+The index is a scorer for Algorithm 1's one driver, serial MSQM
+(:mod:`repro.core.multi_greedy`); single-task Approx*
+(:func:`solve_sqm_approx_star`) is that driver at |T| = 1 plus line 3's
+single-subtask fallback.  It accelerates the inner argmax in two ways,
+exactly as the paper describes:
 
 1. **k-NN reuse (Voronoi locality).**  Current k-NN state is maintained for
    every slot (distance sums ``D_sum``, k-th distances ``dk``, neighbour
@@ -55,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.assignment import TaskContext
-from repro.core.greedy import EPS, Assignment, Candidate, solve_greedy
+from repro.core.greedy import EPS, Assignment, Candidate
 from repro.core.quality import knn_distances, partial_quality
 
 __all__ = ["VoronoiTreeIndex", "solve_sqm_approx_star"]
@@ -116,7 +119,8 @@ def _node_min(tree: _Tree, ext: np.ndarray, out: np.ndarray) -> np.ndarray:
 class VoronoiTreeIndex:
     """Incremental k-NN state + best-first pruned argmax for one task.
 
-    The Approx* scorer of :func:`repro.core.greedy.solve_greedy`.
+    The Approx* scorer of :func:`repro.core.multi_greedy.solve_msqm_serial`,
+    the one Algorithm-1 driver (single-task Approx* is its |T| = 1 case).
     ``costs`` may be updated between steps (multi-task rank bumps) via
     :meth:`update_cost`; k-NN state refreshes on :meth:`commit`.
     """
@@ -391,9 +395,10 @@ def solve_sqm_approx_star(
     ctx: TaskContext, budget: float, k: int, *, t_s: int = 4
 ) -> Assignment:
     """Approx*: Algorithm 1 driven by the Voronoi tree index."""
-    idx = VoronoiTreeIndex(ctx.m, k, ctx.base_costs())
-    a = solve_greedy(ctx, idx, budget, t_s=t_s)
-    a.stats["timers"] = dict(idx.timers)
+    # multi_greedy imports this module, so the import is local.
+    from repro.core.multi_greedy import solve_single_task
+
+    a = solve_single_task(ctx, budget, k, use_index=True, t_s=t_s)
     # Nothing affordable means nothing was considered, so nothing pruned.
     total = a.stats["candidates_total"]
     a.stats["pruned_frac"] = 1.0 - a.stats["candidates_evaluated"] / total if total else 0.0

@@ -36,14 +36,6 @@ DEFAULT_TS = 4
 BUDGET_FRACS = (0.125, 0.25, 0.50)  # the paper's $50 / $100 / $200
 
 
-def _single_ctx(dist: str, m: int, n_workers: int, seed: int):
-    wl = gen_workload(
-        n_tasks=1, n_workers=n_workers, m=m, dist=dist, seed=seed
-    )
-    ctx = build_task_contexts(wl)[0]
-    return ctx, average_task_cost([ctx])
-
-
 def _instance(n_tasks: int, m: int, n_workers: int, seed: int, *,
               dist: str = "uniform", frac: float = 0.25):
     """A multi-task instance and its budget, ``frac`` of the average task
@@ -61,13 +53,11 @@ def fig6a(*, m_opt: int = 15, m_large: int = 100, n_workers: int = 400,
     rows = []
     for dist in DISTRIBUTIONS:
         for seed in seeds:
-            ctx, avg = _single_ctx(dist, m_opt, n_workers, seed)
-            b = frac * avg
+            _, (ctx,), b = _instance(1, m_opt, n_workers, seed, dist=dist, frac=frac)
             rows.append((dist, seed, m_opt, "OPT", solve_sqm_opt(ctx, b, DEFAULT_K).quality))
             rows.append((dist, seed, m_opt, "Approx", solve_sqm_approx(ctx, b, DEFAULT_K).quality))
             rows.append((dist, seed, m_opt, "Rand", solve_sqm_rand(ctx, b, DEFAULT_K, seed=seed).quality))
-            ctx, avg = _single_ctx(dist, m_large, n_workers, seed)
-            b = frac * avg
+            _, (ctx,), b = _instance(1, m_large, n_workers, seed, dist=dist, frac=frac)
             rows.append((dist, seed, m_large, "Approx", solve_sqm_approx_star(ctx, b, DEFAULT_K).quality))
             rows.append((dist, seed, m_large, "Rand", solve_sqm_rand(ctx, b, DEFAULT_K, seed=seed).quality))
     df = pd.DataFrame(rows, columns=["dist", "seed", "m", "method", "quality"])
@@ -81,8 +71,7 @@ def fig6b(*, m: int = 100, n_workers: int = 400, seeds=(0, 1, 2)) -> pd.DataFram
     rows = []
     for frac in BUDGET_FRACS:
         for seed in seeds:
-            ctx, avg = _single_ctx("uniform", m, n_workers, seed)
-            b = frac * avg
+            _, (ctx,), b = _instance(1, m, n_workers, seed, frac=frac)
             rows.append((frac, seed, "Approx", solve_sqm_approx_star(ctx, b, DEFAULT_K).quality))
             rows.append((frac, seed, "Rand", solve_sqm_rand(ctx, b, DEFAULT_K, seed=seed).quality))
     df = pd.DataFrame(rows, columns=["budget_frac", "seed", "method", "quality"])
@@ -122,8 +111,7 @@ def fig7(*, n_tasks: int = 10, m: int = 60, n_workers: int = 1500,
 def _timed_single(dist: str, m: int, n_workers: int, frac: float, seed: int,
                   k: int = DEFAULT_K, t_s: int = DEFAULT_TS,
                   run_naive: bool = True) -> dict:
-    ctx, avg = _single_ctx(dist, m, n_workers, seed)
-    b = frac * avg
+    _, (ctx,), b = _instance(1, m, n_workers, seed, dist=dist, frac=frac)
     out = {"dist": dist, "m": m, "n_workers": n_workers, "budget_frac": frac,
            "k": k, "t_s": t_s, "seed": seed}
     if run_naive:

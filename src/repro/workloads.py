@@ -122,12 +122,14 @@ def gen_workers(
         rows_s.append(starts[wid] + np.arange(L, dtype=np.int64))
         rows_x.append(path[:, 0])
         rows_y.append(path[:, 1])
+    # The empty leading arrays give the columns their dtypes when there are
+    # no workers.
     return pd.DataFrame(
         {
-            "worker_id": np.concatenate(rows_w),
-            "slot": np.concatenate(rows_s),
-            "x": np.concatenate(rows_x),
-            "y": np.concatenate(rows_y),
+            "worker_id": np.concatenate([np.empty(0, np.int64), *rows_w]),
+            "slot": np.concatenate([np.empty(0, np.int64), *rows_s]),
+            "x": np.concatenate([np.empty(0), *rows_x]),
+            "y": np.concatenate([np.empty(0), *rows_y]),
         }
     )
 

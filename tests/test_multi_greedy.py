@@ -7,6 +7,8 @@ from repro.core.assignment import (
     average_task_cost,
     build_task_contexts,
 )
+from repro.core import multi_greedy
+from repro.core.greedy import NaiveScorer
 from repro.core.multi_greedy import (
     ClaimLedger,
     solve_mmqm,
@@ -81,6 +83,33 @@ class TestMsqmSerial:
                                    dist="gaussian")
         r2 = solve_msqm_serial(ctxs2, b2, 3)
         assert r2.conflicts > 0
+
+    def test_claim_reevaluates_only_bumped_rivals(self, monkeypatch):
+        """Task 0's claim of worker 10 bumps task 2, whose current worker it
+        also is, but not task 1, which wants the same slot through worker 11:
+        only task 2's cached candidate is searched again."""
+        scorers, calls = [], []
+
+        class Spy(NaiveScorer):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.i = len(scorers)
+                scorers.append(self)
+
+            def best_candidate(self, rem_budget, t_s=0):
+                calls.append(self.i)
+                return super().best_candidate(rem_budget, t_s)
+
+        monkeypatch.setattr(multi_greedy, "NaiveScorer", Spy)
+        ctxs = [_ctx(0, [10, 12], [1.0, 2.0], m=1),
+                _ctx(1, [11, 14], [1.0, 2.0], m=1),
+                _ctx(2, [10, 13], [1.0, 2.0], m=1)]
+        r = solve_msqm_serial(ctxs, 1e9, 3, use_index=False)
+        assert [a.workers for a in r.assignments] == [[10], [11], [13]]
+        assert r.conflicts == 1
+        # Each task's first search and the one after its own commit, plus
+        # task 2's search after its bump.
+        assert [calls.count(i) for i in range(3)] == [2, 2, 3]
 
 
 class TestMmqm:

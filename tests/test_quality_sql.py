@@ -3,9 +3,14 @@ numpy reference == Catalyst result == DuckDB oracle (same SQL text)."""
 import numpy as np
 import pytest
 
+from repro.core.assignment import average_task_cost, build_task_contexts
+from repro.core.greedy import solve_sqm_approx, solve_sqm_opt, solve_sqm_rand
+from repro.core.multi_greedy import solve_mmqm, solve_msqm_serial, solve_multi_rand
 from repro.core.quality import quality
 from repro.core.quality_sql import quality_sql, subtasks_pdf, task_quality_df
+from repro.core.tree_index import solve_sqm_approx_star
 from repro.oracle import assert_equivalent
+from repro.workloads import gen_workload
 
 
 CASES = [
@@ -88,3 +93,31 @@ class TestOracle:
         ).selectExpr("task_id", "quality + 1 AS quality")
         with pytest.raises(AssertionError):
             assert_equivalent(wrong, quality_sql(self.K, self.M), subtasks=pdf)
+
+
+class TestSolverPlans:
+    """Every solver's plan scored a second way: the SQL metric, run by
+    Catalyst and by DuckDB, over the plan's executed slots."""
+
+    def test_sql_quality_equals_solver_quality(self, spark):
+        m, k = 12, 3
+        wl = gen_workload(n_tasks=4, n_workers=60, m=m, dist="gaussian", seed=3)
+        ctxs = build_task_contexts(wl)
+        avg = average_task_cost(ctxs)
+        ctx, b1, b = ctxs[0], 0.5 * avg, 0.5 * avg * len(ctxs)
+        plans = [
+            solve_sqm_approx(ctx, b1, k),
+            solve_sqm_approx_star(ctx, b1, k),
+            solve_sqm_rand(ctx, b1, k, seed=3),
+            solve_sqm_opt(ctx, b1, k),
+            *solve_msqm_serial(ctxs, b, k).assignments,
+            *solve_mmqm(ctxs, b, k).assignments,
+            *solve_multi_rand(ctxs, b, k, seed=3).assignments,
+        ]
+        assert all(a.exec_slots for a in plans)
+        pdf = subtasks_pdf({i: set(a.exec_slots) for i, a in enumerate(plans)}, m)
+        out = task_quality_df(spark, spark.createDataFrame(pdf), k, m)
+        got = {r.task_id: r.quality for r in out.collect()}
+        for i, a in enumerate(plans):
+            assert abs(got[i] - a.quality) <= 1e-9, (i, a)
+        assert_equivalent(out, quality_sql(k, m), subtasks=pdf)

@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from repro.core.assignment import build_task_contexts
+from repro.core.multi_greedy import solve_msqm_serial
 from repro.workloads import (
     DEFAULT_DOMAIN,
     DISTRIBUTIONS,
@@ -69,6 +71,11 @@ class TestGenWorkers:
         w = gen_workers(100, n_slots=20, seed=0)
         assert list(w.columns) == ["worker_id", "slot", "x", "y"]
 
+    def test_no_workers_is_an_empty_frame(self):
+        w = gen_workers(0, n_slots=20, seed=0)
+        assert len(w) == 0
+        assert w.dtypes.to_dict() == gen_workers(3, n_slots=20).dtypes.to_dict()
+
     def test_active_windows_1_to_5_consecutive(self):
         """Paper: trajectories are cut into pieces of 1–5 time slots."""
         w = gen_workers(300, n_slots=40, seed=1)
@@ -103,6 +110,12 @@ class TestGenWorkers:
 
 
 class TestWorkload:
+    def test_zero_workers_solve_to_empty_plans(self):
+        wl = gen_workload(n_tasks=1, n_workers=0, m=30, seed=5)
+        r = solve_msqm_serial(build_task_contexts(wl), 100.0, 3)
+        assert [a.exec_slots for a in r.assignments] == [[]]
+        assert r.q_sum == 0.0
+
     def test_gen_workload_consistency(self):
         wl = gen_workload(n_tasks=7, n_workers=50, m=12, seed=0)
         assert wl.n_tasks == 7
