@@ -222,14 +222,15 @@ def fig8h(*, m: int = 300, n_workers: int = 1000, seed: int = 0) -> pd.DataFrame
 # --------------------------------------------------------------- Figure 9
 def fig9a(spark, *, n_tasks: int = 16, m: int = 100, n_workers: int = 2000,
           partitions=(1, 2, 4, 8, 16), seed: int = 0) -> pd.DataFrame:
-    """MSQM: serial vs group-parallel vs task-parallel, vs parallelism."""
+    """MSQM: serial vs group-parallel vs task-parallel, vs parallelism.
+    Every method's time includes worker ranking (``build_task_contexts``)."""
     from repro.sparkpar.group_parallel import solve_msqm_group_parallel
     from repro.sparkpar.task_parallel import solve_msqm_task_parallel
 
-    wl, ctxs, b = _instance(n_tasks, m, n_workers, seed)
+    wl, _, b = _instance(n_tasks, m, n_workers, seed)
     rows = []
     t0 = time.perf_counter()
-    rs = solve_msqm_serial(ctxs, b, DEFAULT_K)
+    rs = solve_msqm_serial(build_task_contexts(wl), b, DEFAULT_K)
     rows.append(("serial", 1, time.perf_counter() - t0, rs.q_sum))
     for p in partitions:
         t0 = time.perf_counter()
@@ -283,14 +284,15 @@ def fig9c(spark, *, n_tasks_list=(8, 16, 32), m: int = 100,
 
 def _serial_vs_task_parallel(spark, sizes, n_workers: int,
                              seed: int) -> pd.DataFrame:
-    """Serial and task-parallel MSQM wall time per (|T|, m) of ``sizes``."""
+    """Serial and task-parallel MSQM wall time per (|T|, m) of ``sizes``,
+    worker ranking included on both sides."""
     from repro.sparkpar.task_parallel import solve_msqm_task_parallel
 
     rows = []
     for n, m in sizes:
-        wl, ctxs, b = _instance(n, m, n_workers, seed)
+        wl, _, b = _instance(n, m, n_workers, seed)
         t0 = time.perf_counter()
-        solve_msqm_serial(ctxs, b, DEFAULT_K)
+        solve_msqm_serial(build_task_contexts(wl), b, DEFAULT_K)
         t1 = time.perf_counter()
         solve_msqm_task_parallel(spark, wl, b, DEFAULT_K)
         rows.append((n, m, t1 - t0, time.perf_counter() - t1))

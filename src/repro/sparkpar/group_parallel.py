@@ -80,7 +80,7 @@ def solve_msqm_group_parallel(
     try:
         sdf = spark.createDataFrame(state, _STATE_SCHEMA)
         if num_partitions:
-            sdf = sdf.repartition(num_partitions, "group_id")
+            sdf = sdf.repartition(min(num_partitions, len(state)), "group_id")
         out = sdf.mapInPandas(run_groups, _OUT_SCHEMA).toPandas()
     finally:
         ctxs_bc.unpersist()

@@ -29,6 +29,15 @@ re-enters the merge at its new price; with no worker left its chain is
 truncated and it re-proposes next round.  ``priority=False`` disables the
 paper's priority adjustment (Fig 9f): chains are merged in task-id order
 instead of by heuristic value.
+
+Stopping rule: before each round the master drops every task none of whose
+unexecuted slots has a finite cost within the remaining budget — the
+executors' own ``best_candidate`` test, so exactly the tasks that would
+propose nothing — and ends the solve, without a Spark job, once no task is
+left.  A dropped task never returns: costs only rise, the budget only falls
+and executed sets only grow.  A launched round always changes the plan: its
+first head was priced from the same ledger state under the same budget, so
+it commits or conflicts.
 """
 from __future__ import annotations
 
@@ -55,6 +64,15 @@ _STATE_SCHEMA = (
 )
 _PROPOSAL_COLUMNS = ["task_id", "ord", "slot", "gain"]
 _PROPOSAL_SCHEMA = "task_id long, ord long, slot long, gain double"
+
+
+def _has_affordable(costs: list[float], exec_slots: list[int], rem: float) -> bool:
+    """Whether an unexecuted slot has a finite cost within ``rem``: the
+    affordability test ``VoronoiTreeIndex.best_candidate`` makes first."""
+    c = np.asarray(costs)
+    ok = np.isfinite(c) & (c <= rem)
+    ok[exec_slots] = False
+    return bool(ok.any())
 
 
 def _make_propose_fn(m: int, k: int, t_s: int, chain_len: int):
@@ -96,7 +114,7 @@ def solve_msqm_task_parallel(
     """MSQM via the master/worker round protocol.  Returns (result, tables)."""
     ledger = ClaimLedger(build_task_contexts(wl))
     rem = float(budget)
-    active = set(range(len(ledger.plan)))
+    active = list(range(len(ledger.plan)))
     heartbeat: dict[int, float] = {}
     conflict_rows: list[dict] = []
     log_rows: list[dict] = []
@@ -118,32 +136,34 @@ def solve_msqm_task_parallel(
                          "reason": reason})
 
     propose = _make_propose_fn(wl.m, k, t_s, CHAIN_LEN)
-    while active and rounds < MAX_ROUNDS:
+    while rounds < MAX_ROUNDS:
+        # The stopping rule (module docstring), priced from the state rows.
+        costs = {t: [ledger.cost(t, j) for j in range(wl.m)] for t in active}
+        active = [t for t in active
+                  if _has_affordable(costs[t], ledger.plan[t].exec_slots, rem)]
+        if not active:
+            break
         rounds += 1
-        tids = sorted(active)
         state = pd.DataFrame(
             {
-                "task_id": tids,
-                "exec_slots": [ledger.plan[t].exec_slots for t in tids],
-                "costs": [[ledger.cost(t, j) for j in range(wl.m)] for t in tids],
+                "task_id": active,
+                "exec_slots": [ledger.plan[t].exec_slots for t in active],
+                "costs": [costs[t] for t in active],
                 "rem_budget": rem,
             }
         )
         sdf = spark.createDataFrame(state, _STATE_SCHEMA)
         if num_partitions:
-            sdf = sdf.repartition(num_partitions, "task_id")
+            sdf = sdf.repartition(min(num_partitions, len(active)), "task_id")
         props = sdf.mapInPandas(propose, _PROPOSAL_SCHEMA).toPandas()
         chains: dict[int, list[tuple[int, float]]] = {}
         for t, slot, gain in props.sort_values(["task_id", "ord"])[
             ["task_id", "slot", "gain"]
         ].itertuples(index=False):
             chains.setdefault(int(t), []).append((int(slot), float(gain)))
-        # A task that proposed nothing has no affordable candidate left.
-        active.intersection_update(chains)
         ptr = dict.fromkeys(chains, 0)
         heads = [head_key(t) for t in chains]
         heapq.heapify(heads)
-        changed = False  # a commit or a rank bump this round
         while heads:
             t = heapq.heappop(heads)[-1]
             slot, gain = chains[t][ptr[t]]
@@ -157,7 +177,6 @@ def solve_msqm_task_parallel(
                 # re-enter the merge at its new price.  Only this loser is
                 # bumped: commits never bump rivals eagerly, which would
                 # reprice next round's proposals.
-                changed = True
                 log(t, slot, h, "conflict")
                 w = ledger.bump(t, slot)
                 conflict_rows.append(
@@ -177,12 +196,9 @@ def solve_msqm_task_parallel(
             ledger.record(t, slot)
             rem -= cost
             ptr[t] += 1
-            changed = True
             log(t, slot, h, "ok")
             if ptr[t] < len(chains[t]):
                 heapq.heappush(heads, head_key(t))
-        if not changed:
-            break
 
     result = ledger.result([
         quality_from_p(p_vector(np.sort(np.asarray(a.exec_slots, np.int64)), wl.m, k))

@@ -1,4 +1,6 @@
 """Tests for task-level parallelization on Spark (Section IV-A-2)."""
+import math
+
 import pytest
 
 from repro.core.assignment import (
@@ -23,7 +25,7 @@ from tests.plans import assert_valid_plan, temporal_quality
 PINNED = {
     ("gaussian", "default"): dict(
         conflicts=29,
-        rounds=2,
+        rounds=1,
         plan=[
             "2:56 3:71 4:56 5:56 8:15 9:15",
             "0:7 2:34 4:26 5:60 6:60 7:60 8:77 9:77",
@@ -45,7 +47,7 @@ PINNED = {
     ),
     ("gaussian", "nopri"): dict(
         conflicts=10,
-        rounds=2,
+        rounds=1,
         plan=[
             "0:9 1:9 2:56 3:71 4:71 5:56 6:11 7:65 8:20 9:20 10:15 11:51",
             "0:7 1:29 2:34 3:46 4:26 5:60 6:60 7:60 8:77 9:77 10:77 11:52",
@@ -65,7 +67,7 @@ PINNED = {
     ),
     ("gaussian", "chain1"): dict(
         conflicts=24,
-        rounds=7,
+        rounds=6,
         plan=[
             "2:56 3:71 4:56 5:56 8:15 9:15",
             "0:7 2:34 5:60 6:60 7:60 9:77",
@@ -86,7 +88,7 @@ PINNED = {
     ),
     ("poi", "default"): dict(
         conflicts=27,
-        rounds=2,
+        rounds=1,
         plan=[
             "0:23 1:23 2:23 4:68 5:68 6:68 8:51 9:51 11:67",
             "0:5 1:5 2:29 3:29 4:46 5:12 7:0 8:73 9:73 10:73",
@@ -109,7 +111,7 @@ PINNED = {
     ),
     ("poi", "nopri"): dict(
         conflicts=10,
-        rounds=2,
+        rounds=1,
         plan=[
             "0:23 1:23 2:23 3:69 4:68 5:68 6:68 7:63 8:51 9:51 10:51 11:67",
             "0:5 1:5 2:29 3:29 4:46 5:12 6:12 7:0 8:73 9:73 10:73 11:39",
@@ -130,7 +132,7 @@ PINNED = {
     ),
     ("poi", "chain1"): dict(
         conflicts=28,
-        rounds=8,
+        rounds=7,
         plan=[
             "1:23 2:23 4:68 5:68 6:68 9:51 11:67",
             "0:5 2:29 4:46 7:0 8:73 9:73 10:73",
@@ -167,6 +169,24 @@ def _instance(n_tasks=6, n_workers=300, m=20, seed=0, dist="uniform"):
     ctxs = build_task_contexts(wl)
     b = 0.25 * average_task_cost(ctxs) * n_tasks
     return wl, ctxs, b
+
+
+def _solve_in_job_group(spark, group, wl, b, **kw):
+    """Solve under a Spark job group: (tables, the group's stage infos)."""
+    sc = spark.sparkContext
+    sc.setJobGroup(group, group)
+    try:
+        _, tables = solve_msqm_task_parallel(spark, wl, b, 3, **kw)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    tracker = sc.statusTracker()
+    stage_ids = {
+        s
+        for j in tracker.getJobIdsForGroup(group)
+        for s in tracker.getJobInfo(j).stageIds
+    }
+    return tables, [tracker.getStageInfo(s) for s in stage_ids]
 
 
 class TestTaskParallel:
@@ -310,25 +330,61 @@ class TestTaskParallel:
         """Each round is one Spark stage whose tasks spread over the cores:
         no shuffle that adaptive execution could coalesce into one task."""
         wl, _, b = _instance(n_tasks=8, n_workers=300, m=20, seed=0)
-        sc = spark.sparkContext
-        group = "test_task_parallel_round_stages"
-        sc.setJobGroup(group, group)
-        try:
-            _, tables = solve_msqm_task_parallel(spark, wl, b, 3)
-        finally:
-            sc.setLocalProperty("spark.jobGroup.id", None)
-            sc.setLocalProperty("spark.job.description", None)
-        tracker = sc.statusTracker()
-        stages = {
-            s
-            for j in tracker.getJobIdsForGroup(group)
-            for s in tracker.getJobInfo(j).stageIds
-        }
+        tables, stages = _solve_in_job_group(
+            spark, "test_task_parallel_round_stages", wl, b
+        )
         assert len(stages) == tables["rounds"]
         for s in stages:
-            assert tracker.getStageInfo(s).numTasks >= min(
-                2, sc.defaultParallelism
-            )
+            assert s.numTasks >= min(2, spark.sparkContext.defaultParallelism)
+
+
+def _final_prices(ctxs, tables, budget):
+    """Replay the Conflicting and Logging tables: each (task, slot)'s cost at
+    its final rank, and the budget left after the committed proposals."""
+    rank = {}
+    for row in tables["conflicting"].itertuples():
+        rank[row.task_id, row.slot] = row.bumped_to_rank - 1
+
+    def cost(t, slot):
+        return ctxs[t].cost_at_rank(slot, rank.get((t, slot), 0))
+
+    rem = float(budget)
+    for row in tables["logging"].itertuples():
+        if row.committed:
+            rem -= cost(row.task_id, row.slot)
+    return cost, rem
+
+
+class TestStoppingRule:
+    """The master stops once no task has an affordable subtask, so no Spark
+    round is launched that cannot change the plan."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("frac", [0.125, None], ids=["b12.5", "ample"])
+    @pytest.mark.parametrize("m", [12, 20])
+    @pytest.mark.parametrize("dist", ["uniform", "gaussian", "zipf", "poi"])
+    def test_no_round_wasted(self, spark, dist, m, frac, seed):
+        wl = gen_workload(n_tasks=8, n_workers=80, m=m, dist=dist, seed=seed)
+        ctxs = build_task_contexts(wl)
+        b = 1e9 if frac is None else frac * average_task_cost(ctxs) * 8
+        r, tables = solve_msqm_task_parallel(spark, wl, b, 3)
+        log = tables["logging"]
+        logged = set(log["round"]) if len(log) else set()
+        assert logged == set(range(1, tables["rounds"] + 1))
+        cost, rem = _final_prices(ctxs, tables, b)
+        for t, a in enumerate(r.assignments):
+            left = [cost(t, j) for j in range(m) if j not in a.exec_slots]
+            assert not any(math.isfinite(c) and c <= rem for c in left)
+
+    def test_partitions_capped_at_active_tasks(self, spark):
+        """``num_partitions`` above the task count adds no empty Spark tasks."""
+        wl, _, b = _instance(n_tasks=4, n_workers=100, m=12, seed=0)
+        tables, stages = _solve_in_job_group(
+            spark, "test_task_parallel_partition_cap", wl, b, num_partitions=16
+        )
+        assert tables["rounds"] >= 1 and stages
+        for s in stages:
+            assert s.numTasks <= 4
 
 
 class TestInfiniteCosts:
@@ -339,7 +395,7 @@ class TestInfiniteCosts:
         wl = Workload(wl.tasks, wl.workers.iloc[:0], wl.m, wl.domain)
         ctxs = build_task_contexts(wl)
         r, tables = solve_msqm_task_parallel(spark, wl, 100.0, 3)
-        assert tables["rounds"] == 1
+        assert tables["rounds"] == 0
         rg, _ = solve_msqm_group_parallel(spark, wl, 100.0, 3)
         for res in (r, rg, solve_msqm_serial(ctxs, 100.0, 3)):
             assert [a.exec_slots for a in res.assignments] == [[]] * 5
@@ -356,5 +412,5 @@ class TestInfiniteCosts:
         r, tables = solve_msqm_task_parallel(spark, wl, 1e9, 3)
         assert (tables["conflicting"].bumped_to_rank > DEFAULT_TOP_R).sum() == 1
         assert (r.q_sum, r.steps, r.conflicts, tables["rounds"]) == (
-            90.2983147102736, 799, 204, 5,
+            90.2983147102736, 799, 204, 4,
         )

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.voronoi import knn_set, order_k_cells
+from tests.voronoi import knn_set, order_k_cells
 
 
 class TestOrderKCells:
