@@ -56,11 +56,13 @@ class MultiResult:
     """Aggregate outcome of a multi-task solve.
 
     ``q_sum``, ``q_min``, ``total_cost`` and ``steps`` (the number of
-    executed subtasks) are derived from ``assignments``.
+    executed subtasks) are derived from ``assignments``.  ``commits`` is the
+    Logging Table: every ``(task_id, slot)`` claim in commit order.
     """
 
     assignments: list[Assignment]
     conflicts: int
+    commits: list[tuple[int, int]] = field(default_factory=list)
     q_sum: float = field(init=False)
     q_min: float = field(init=False)
     total_cost: float = field(init=False)
@@ -85,8 +87,9 @@ class ClaimLedger:
     rivals without scanning every task.
 
     ``plan[i]`` is task ``i``'s claims so far — its executed slots, their
-    workers and its summed cost, all in commit order; :meth:`result` turns
-    the plan into a :class:`MultiResult`.
+    workers and its summed cost, all in commit order — and ``commits`` is
+    every claim's ``(task_id, slot)`` in commit order; :meth:`result` turns
+    both into a :class:`MultiResult`.
     """
 
     def __init__(self, ctxs: list[TaskContext]):
@@ -95,6 +98,7 @@ class ClaimLedger:
         self.claimed: set[tuple[int, int]] = set()
         self.plan = [Assignment(c.task_id, [], [], 0.0, 0.0) for c in ctxs]
         self.bumps = 0
+        self.commits: list[tuple[int, int]] = []
         self._holders: dict[tuple[int, int], set[int]] = {}
         for i, c in enumerate(ctxs):
             for slot, ws in enumerate(c.slot_workers):
@@ -132,6 +136,7 @@ class ClaimLedger:
         self.claimed.add((worker, slot))
         cost = self.cost(i, slot)
         a = self.plan[i]
+        self.commits.append((a.task_id, slot))
         a.exec_slots.append(slot)
         a.workers.append(worker)
         a.cost += cost
@@ -160,7 +165,7 @@ class ClaimLedger:
                 quality=float(q),
                 stats=dict(stats[i]) if stats else {},
             ))
-        return MultiResult(out, self.bumps)
+        return MultiResult(out, self.bumps, self.commits)
 
 
 def _scorers(ctxs: list[TaskContext], k: int, use_index: bool) -> list:

@@ -8,10 +8,15 @@ Reproduces the paper's Fig 4 gradual (d+1)-NN-bound expansion:
    worker the task would claim;
 2. start every task at bound 1 (its 1-NN circle); any two tasks sharing a
    worker instance within their current bounds get a conflict edge;
-3. a node of degree d expands to its (d+1)-NN bound; repeat until no new
-   edges appear, or for at most :data:`MAX_ROUNDS` rounds;
+3. a node of degree d expands to its (d+1)-NN bound; repeat until a round
+   adds no edge.  The loop ends because edges only grow, to at most
+   |T|(|T|−1)/2;
 4. connected components of the resulting independence graph are the groups
    that can be optimized in parallel.
+
+Only this fixpoint makes groups independent: a task's rank at a slot moves
+only past workers its neighbours claim, one per neighbour, so it stays
+within its (d+1)-NN bound, out of reach of every other group's claims.
 
 Everything runs on the driver.  The input is at most |T|·m·top_r instances,
 already in driver memory as the contexts; one pandas self-merge on
@@ -21,13 +26,12 @@ Components are computed with union-find on the edge list.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pandas as pd
 
 from repro.core.assignment import TaskContext
-
-#: Expansion rounds after which the bounds stop growing.
-MAX_ROUNDS = 8
 
 
 def _shared_instances(ctxs: list[TaskContext]) -> pd.DataFrame:
@@ -63,14 +67,13 @@ def conflict_edges(
     ra, rb = pairs["rank_a"].to_numpy(), pairs["rank_b"].to_numpy()
     bound = np.ones(len(ctxs), dtype=np.int64)
     edges: set[tuple[int, int]] = set()
-    for rounds in range(1, MAX_ROUNDS + 1):
+    for rounds in itertools.count(1):
         live = (ra <= bound[ta]) & (rb <= bound[tb])
         new = set(zip(ta[live].tolist(), tb[live].tolist())) - edges
         if not new:
-            break
+            return edges, dict(enumerate(bound.tolist())), rounds
         edges |= new
         bound = np.bincount(np.array(list(edges)).ravel(), minlength=len(ctxs)) + 1
-    return edges, dict(enumerate(bound.tolist())), rounds
 
 
 def connected_components(

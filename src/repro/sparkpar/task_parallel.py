@@ -37,7 +37,8 @@ propose nothing — and ends the solve, without a Spark job, once no task is
 left.  A dropped task never returns: costs only rise, the budget only falls
 and executed sets only grow.  A launched round always changes the plan: its
 first head was priced from the same ledger state under the same budget, so
-it commits or conflicts.
+it commits or bumps.  That bounds the round count with no cap: commits are
+at most Σ assignable slots, and bumps at most |T|·m·``top_r``.
 """
 from __future__ import annotations
 
@@ -56,8 +57,6 @@ from repro.workloads import Workload
 #: Greedy proposals per task per round.  The driver reads it when it builds
 #: the round stage, so a patched value reaches the executors.
 CHAIN_LEN = 16
-#: Guard against a round loop that never terminates.
-MAX_ROUNDS = 1000
 
 _STATE_SCHEMA = (
     "task_id long, exec_slots array<long>, costs array<double>, rem_budget double"
@@ -136,7 +135,7 @@ def solve_msqm_task_parallel(
                          "reason": reason})
 
     propose = _make_propose_fn(wl.m, k, t_s, CHAIN_LEN)
-    while rounds < MAX_ROUNDS:
+    while True:
         # The stopping rule (module docstring), priced from the state rows.
         costs = {t: [ledger.cost(t, j) for j in range(wl.m)] for t in active}
         active = [t for t in active

@@ -112,7 +112,7 @@ def stcc_score(
     """Score a multi-task plan under the combined metric.
 
     Each assignment keeps its slots, workers and cost, and gets its task's
-    STCC quality; ``conflicts`` is the plan's.
+    STCC quality; ``conflicts`` and ``commits`` are the plan's.
     """
     m, locs, diag = _geometry(ctxs, domain)
     exec_sets = [set(a.exec_slots) for a in plan.assignments]
@@ -120,6 +120,7 @@ def stcc_score(
     return MultiResult(
         [replace(a, quality=float(q_i)) for a, q_i in zip(plan.assignments, q)],
         plan.conflicts,
+        plan.commits,
     )
 
 

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.core.multi_greedy import ClaimLedger
 from repro.core.quality import quality
 
 
@@ -45,3 +46,19 @@ def assert_valid_plan(wl, ctxs, res, budget, quality_of, *, tol=1e-12):
                                rtol=tol, atol=tol)
     assert res.q_sum == pytest.approx(float(np.sum(q)), rel=tol, abs=tol)
     assert res.steps == len(used)
+
+
+def replay_commits(ctxs, res):
+    """Replay ``res.commits`` through a fresh
+    :class:`repro.core.multi_greedy.ClaimLedger` and check that it rebuilds
+    every task's (slot, worker) pairs and the bits of its cost; returns the
+    replayed ledger."""
+    ledger = ClaimLedger(ctxs)
+    for t, slot in res.commits:
+        ledger.claim(t, slot)
+    assert len(res.commits) == res.steps
+    for got, want in zip(ledger.plan, res.assignments, strict=True):
+        assert sorted(zip(got.exec_slots, got.workers)) == list(
+            zip(want.exec_slots, want.workers))
+        assert repr(got.cost) == repr(want.cost)
+    return ledger

@@ -10,19 +10,21 @@ from repro.sparkpar.conflict_graph import (
     conflict_edges,
     connected_components,
 )
-from repro.workloads import Workload, gen_workload
+from repro.workloads import DISTRIBUTIONS, Workload, gen_workload
 
 
 #: Fig 4 expansions recorded from the Spark-joined implementation this
 #: driver-side one replaced: (dist, |T|, |W|, m, seed) -> edges as ``a-b``,
-#: each task's final bound, and the number of rounds.
+#: each task's final bound, and the number of rounds.  That implementation
+#: stopped after 8 rounds; uniform-8 reaches its fixpoint (the complete
+#: graph) only at round 10, and its values are the fixpoint's.
 PINNED = {
     ("uniform", 8, 300, 20, 3): dict(
-        rounds=8,
-        bounds=[7, 8, 7, 7, 8, 8, 8, 5],
+        rounds=10,
+        bounds=[8, 8, 8, 8, 8, 8, 8, 8],
         edges=(
-            "0-1 0-2 0-3 0-4 0-5 0-6 1-2 1-3 1-4 1-5 1-6 1-7 2-3 2-4 2-5 2-6 "
-            "3-4 3-5 3-6 4-5 4-6 4-7 5-6 5-7 6-7"
+            "0-1 0-2 0-3 0-4 0-5 0-6 0-7 1-2 1-3 1-4 1-5 1-6 1-7 2-3 2-4 2-5 "
+            "2-6 2-7 3-4 3-5 3-6 3-7 4-5 4-6 4-7 5-6 5-7 6-7"
         ),
     ),
     ("gaussian", 16, 4000, 50, 0): dict(
@@ -151,7 +153,7 @@ class TestConflictEdges:
     )
     def test_expansion_pinned(self, case):
         """Edges, final bounds and round counts are those of the Spark-joined
-        expansion (two of the three stop at the 8-round cap)."""
+        expansion, run on to the fixpoint."""
         dist, n, w, m, seed = case
         wl = gen_workload(n_tasks=n, n_workers=w, m=m, dist=dist, seed=seed)
         edges, bounds, rounds = _edges(wl)
@@ -161,6 +163,28 @@ class TestConflictEdges:
         ]
         assert [bounds[t] for t in range(n)] == want["bounds"]
         assert rounds == want["rounds"]
+
+    @pytest.mark.parametrize(
+        "case",
+        list(PINNED) + [
+            (dist, n, w, m, seed)
+            for dist in DISTRIBUTIONS
+            for n, w, m in [(8, 300, 20), (32, 4000, 50)]
+            for seed in (0, 1)
+        ],
+        ids=lambda c: "-".join(map(str, c)),
+    )
+    def test_fixpoint(self, case):
+        """At the returned bounds one more expansion round adds no edge:
+        the groups are independent."""
+        dist, n, w, m, seed = case
+        ctxs = build_task_contexts(
+            gen_workload(n_tasks=n, n_workers=w, m=m, dist=dist, seed=seed))
+        edges, bounds, _ = conflict_edges(ctxs)
+        pairs = _shared_instances(ctxs)
+        live = (pairs.rank_a <= pairs.task_a.map(bounds)) & (
+            pairs.rank_b <= pairs.task_b.map(bounds))
+        assert set(zip(pairs.task_a[live], pairs.task_b[live])) <= edges
 
 
 class TestConnectedComponents:

@@ -4,8 +4,9 @@ import pytest
 from repro.core.assignment import average_task_cost, build_task_contexts
 from repro.core.multi_greedy import solve_msqm_serial
 from repro.core.quality import quality
+from repro.sparkpar.conflict_graph import build_groups
 from repro.sparkpar.group_parallel import solve_msqm_group_parallel
-from repro.workloads import gen_workload
+from repro.workloads import DISTRIBUTIONS, gen_workload
 from tests.plans import assert_valid_plan, temporal_quality
 
 
@@ -137,3 +138,26 @@ class TestGroupParallel:
         assert [sorted(zip(a.exec_slots, a.workers)) for a in rg.assignments] == [
             sorted(zip(a.exec_slots, a.workers)) for a in rs.assignments
         ]
+
+
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+def test_groups_keep_their_serial_plans_on_split_instances(spark, dist):
+    """Dense supply splits the graph.  Each group's tasks get exactly the
+    plan serial MSQM gives that group alone on its share of the budget, and
+    the replayed claims bump only within groups."""
+    wl, ctxs, b = _instance(n_tasks=32, n_workers=16_000, m=50, dist=dist)
+    r, gstats = solve_msqm_group_parallel(spark, wl, b, 3)
+    groups, _, _ = build_groups(ctxs)
+    assert gstats["n_groups"] > 1
+    conflicts = 0
+    for _, tasks in groups.groupby("group_id")["task_id"]:
+        rs = solve_msqm_serial([ctxs[t] for t in tasks], b * len(tasks) / 32, 3)
+        conflicts += rs.conflicts
+        for t, a in zip(tasks, rs.assignments, strict=True):
+            got = r.assignments[t]
+            assert list(zip(got.exec_slots, got.workers)) == list(
+                zip(a.exec_slots, a.workers))
+            assert (repr(got.cost), repr(got.quality)) == (
+                repr(a.cost), repr(a.quality))
+    assert r.conflicts == conflicts
+    assert_valid_plan(wl, ctxs, r, b, temporal_quality(wl.m, 3))

@@ -17,7 +17,7 @@ from repro.core.multi_greedy import (
 )
 from repro.core.quality import quality
 from repro.workloads import DISTRIBUTIONS, gen_workload
-from tests.plans import assert_valid_plan, temporal_quality
+from tests.plans import assert_valid_plan, replay_commits, temporal_quality
 
 
 def _instance(n_tasks=6, n_workers=300, m=24, seed=0, dist="uniform"):
@@ -189,6 +189,16 @@ class TestEverySerialPlan:
         assert r.steps > 0
         assert_valid_plan(wl, ctxs, r, b, temporal_quality(wl.m, 3))
 
+    @pytest.mark.parametrize("dist", DISTRIBUTIONS)
+    def test_commits_replay(self, solver, dist):
+        """``commits`` is the Logging Table: replayed claim by claim, it
+        rebuilds the plan, its cost bits and its conflict count."""
+        _, ctxs, b = _instance(n_tasks=8, n_workers=60, m=12, seed=1,
+                               dist=dist)
+        r = _SOLVERS[solver](ctxs, b, 3)
+        assert r.conflicts > 0
+        assert replay_commits(ctxs, r).bumps == r.conflicts
+
     def test_no_tasks(self, solver):
         wl = gen_workload(n_tasks=0, n_workers=50, m=10, seed=0)
         r = _SOLVERS[solver](build_task_contexts(wl), 100.0, 3)
@@ -274,6 +284,7 @@ class TestClaimLedger:
             ([2], [11], 4.0, 0.5, {"steps": 1}),
         ]
         assert (r.conflicts, r.q_sum, r.total_cost, r.steps) == (1, 0.75, 6.0, 3)
+        assert r.commits == [(0, 2), (1, 2), (0, 0)]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rivals_match_a_scan_of_every_task(self, seed):

@@ -15,7 +15,7 @@ from repro.sparkpar import task_parallel
 from repro.sparkpar.group_parallel import solve_msqm_group_parallel
 from repro.sparkpar.task_parallel import solve_msqm_task_parallel
 from repro.workloads import Workload, gen_workload
-from tests.plans import assert_valid_plan, temporal_quality
+from tests.plans import assert_valid_plan, replay_commits, temporal_quality
 
 #: Task-parallel output on two dense instances (8 tasks, 80 workers, m=12,
 #: seed 1, 50 % budget), recorded from the chain merge that sorted every
@@ -252,6 +252,23 @@ class TestTaskParallel:
         r, _ = solve_msqm_task_parallel(spark, wl, b, 3, **_SETTINGS[setting])
         assert r.steps > 0
         assert_valid_plan(wl, ctxs, r, b, temporal_quality(wl.m, 3))
+
+    @pytest.mark.parametrize("setting", ["default", "nopri", "chain1"])
+    @pytest.mark.parametrize("dist", ["gaussian", "poi"])
+    def test_commits_replay(self, spark, monkeypatch, dist, setting):
+        """Replayed through eager claims, the commit log rebuilds the plan
+        that lazy bumps made: a task commits the first unclaimed worker in
+        its list either way."""
+        if setting == "chain1":
+            monkeypatch.setattr(task_parallel, "CHAIN_LEN", 1)
+        wl, ctxs, b = _instance(n_tasks=8, n_workers=80, m=12, seed=2,
+                                dist=dist)
+        r, tables = solve_msqm_task_parallel(spark, wl, b, 3,
+                                             **_SETTINGS[setting])
+        assert r.conflicts > 0
+        replay_commits(ctxs, r)
+        ok = tables["logging"][tables["logging"].committed]
+        assert r.commits == list(zip(ok.task_id, ok.slot))
 
     def test_tables_populated(self, spark):
         wl, _, b = _instance(n_tasks=6, n_workers=60, m=12, seed=1,
