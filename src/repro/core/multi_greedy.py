@@ -94,34 +94,39 @@ class ClaimLedger:
 
     def __init__(self, ctxs: list[TaskContext]):
         self.ctxs = ctxs
-        self.ranks = [np.zeros(c.m, dtype=np.int64) for c in ctxs]
+        self.ranks = np.zeros((len(ctxs), ctxs[0].m if ctxs else 0), dtype=np.int64)
         self.claimed: set[tuple[int, int]] = set()
         self.plan = [Assignment(c.task_id, [], [], 0.0, 0.0) for c in ctxs]
         self.bumps = 0
         self.commits: list[tuple[int, int]] = []
         self._holders: dict[tuple[int, int], set[int]] = {}
         for i, c in enumerate(ctxs):
-            for slot, ws in enumerate(c.slot_workers):
-                if len(ws):
-                    self._holders.setdefault((slot, int(ws[0])), set()).add(i)
+            first = c.slot_workers[:, 0]
+            for slot in np.flatnonzero(first >= 0).tolist():
+                self._holders.setdefault((slot, int(first[slot])), set()).add(i)
 
     def worker(self, i: int, slot: int) -> int:
-        return self.ctxs[i].worker_at_rank(slot, int(self.ranks[i][slot]))
+        return int(self.ctxs[i].slot_workers[slot, self.ranks[i, slot]])
 
     def cost(self, i: int, slot: int) -> float:
-        return self.ctxs[i].cost_at_rank(slot, int(self.ranks[i][slot]))
+        return float(self.ctxs[i].slot_costs[slot, self.ranks[i, slot]])
+
+    def costs(self, i: int) -> np.ndarray:
+        """Task ``i``'s current cost per slot (inf past its retained workers)."""
+        c = self.ctxs[i]
+        return c.slot_costs[np.arange(c.m), self.ranks[i]]
 
     def bump(self, i: int, slot: int) -> int:
         """Advance task ``i`` at ``slot`` to its next unclaimed rank (the
         paper's k-th-NN bump); returns the new current worker."""
-        ctx, r = self.ctxs[i], int(self.ranks[i][slot])
-        self._holders.get((slot, ctx.worker_at_rank(slot, r)), set()).discard(i)
+        workers, r = self.ctxs[i].slot_workers[slot], int(self.ranks[i, slot])
+        self._holders.get((slot, int(workers[r])), set()).discard(i)
         while True:
             r += 1
-            w = ctx.worker_at_rank(slot, r)
+            w = int(workers[r])
             if w == -1 or (w, slot) not in self.claimed:
                 break
-        self.ranks[i][slot] = r
+        self.ranks[i, slot] = r
         self.bumps += 1
         if w != -1:
             self._holders.setdefault((slot, w), set()).add(i)

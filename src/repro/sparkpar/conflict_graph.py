@@ -37,17 +37,11 @@ from repro.core.assignment import TaskContext
 def _shared_instances(ctxs: list[TaskContext]) -> pd.DataFrame:
     """Every worker instance in two tasks' top-r lists: ``ta < tb`` and the
     instance's 1-based rank in each list."""
-    frames = []
-    for c in ctxs:
-        sizes = [len(w) for w in c.slot_workers]
-        starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
-        frames.append(pd.DataFrame({
-            "task": c.task_id,
-            "slot": np.repeat(np.arange(len(sizes)), sizes),
-            "worker": np.concatenate(c.slot_workers),
-            "rank": np.arange(len(starts)) - starts + 1,
-        }))
-    inst = pd.concat(frames, ignore_index=True)
+    W = np.stack([c.slot_workers for c in ctxs])
+    task, slot, rank = np.nonzero(W >= 0)
+    inst = pd.DataFrame(
+        {"task": task, "slot": slot, "worker": W[task, slot, rank], "rank": rank + 1}
+    )
     pairs = inst.merge(inst, on=["slot", "worker"], suffixes=("_a", "_b"))
     return pairs[pairs["task_a"] < pairs["task_b"]]
 

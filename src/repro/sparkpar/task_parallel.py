@@ -65,11 +65,10 @@ _PROPOSAL_COLUMNS = ["task_id", "ord", "slot", "gain"]
 _PROPOSAL_SCHEMA = "task_id long, ord long, slot long, gain double"
 
 
-def _has_affordable(costs: list[float], exec_slots: list[int], rem: float) -> bool:
+def _has_affordable(costs: np.ndarray, exec_slots: list[int], rem: float) -> bool:
     """Whether an unexecuted slot has a finite cost within ``rem``: the
     affordability test ``VoronoiTreeIndex.best_candidate`` makes first."""
-    c = np.asarray(costs)
-    ok = np.isfinite(c) & (c <= rem)
+    ok = np.isfinite(costs) & (costs <= rem)
     ok[exec_slots] = False
     return bool(ok.any())
 
@@ -137,7 +136,7 @@ def solve_msqm_task_parallel(
     propose = _make_propose_fn(wl.m, k, t_s, CHAIN_LEN)
     while True:
         # The stopping rule (module docstring), priced from the state rows.
-        costs = {t: [ledger.cost(t, j) for j in range(wl.m)] for t in active}
+        costs = {t: ledger.costs(t) for t in active}
         active = [t for t in active
                   if _has_affordable(costs[t], ledger.plan[t].exec_slots, rem)]
         if not active:
@@ -180,7 +179,7 @@ def solve_msqm_task_parallel(
                 w = ledger.bump(t, slot)
                 conflict_rows.append(
                     {"task_id": t, "slot": slot,
-                     "bumped_to_rank": int(ledger.ranks[t][slot]) + 1,
+                     "bumped_to_rank": int(ledger.ranks[t, slot]) + 1,
                      "round": rounds}
                 )
                 if w != -1:

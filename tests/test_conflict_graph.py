@@ -3,6 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import assignment
 from repro.core.assignment import build_task_contexts
 from repro.sparkpar.conflict_graph import (
     _shared_instances,
@@ -76,22 +77,24 @@ class TestRankedCandidates:
     context's top-r list, with a shared instance's rank its 1-based
     position in that list."""
 
-    def test_ranks_by_distance(self):
+    def test_ranks_by_distance(self, monkeypatch):
+        monkeypatch.setattr(assignment, "DEFAULT_TOP_R", 3)
         wl = gen_workload(n_tasks=3, n_workers=40, m=8, seed=0)
-        ctxs = build_task_contexts(wl, top_r=3)
+        ctxs = build_task_contexts(wl)
         for c in ctxs:
-            for costs in c.slot_costs:
-                assert (np.diff(costs) >= -1e-9).all()
+            for workers, costs in zip(c.slot_workers, c.slot_costs):
+                assert (np.diff(costs[workers >= 0]) >= -1e-9).all()
         pairs = _shared_instances(ctxs)
         assert len(pairs) > 0
         for r in pairs.itertuples(index=False):
             for t, rank in ((r.task_a, r.rank_a), (r.task_b, r.rank_b)):
                 assert ctxs[t].worker_at_rank(r.slot, rank - 1) == r.worker
 
-    def test_top_r_enforced(self):
+    def test_top_r_enforced(self, monkeypatch):
+        monkeypatch.setattr(assignment, "DEFAULT_TOP_R", 2)
         wl = gen_workload(n_tasks=2, n_workers=40, m=8, seed=1)
-        ctxs = build_task_contexts(wl, top_r=2)
-        assert max(len(w) for c in ctxs for w in c.slot_workers) <= 2
+        ctxs = build_task_contexts(wl)
+        assert max((w >= 0).sum() for c in ctxs for w in c.slot_workers) <= 2
         pairs = _shared_instances(ctxs)
         assert len(pairs) > 0
         assert pairs[["rank_a", "rank_b"]].to_numpy().max() <= 2
@@ -131,7 +134,7 @@ class TestConflictEdges:
         assert bounds == {0: 1, 1: 1}
         assert rounds == 1
 
-    def test_far_apart_tasks_independent(self):
+    def test_far_apart_tasks_independent(self, monkeypatch):
         """Tasks in opposite corners with their own worker pools never
         conflict."""
         tasks = pd.DataFrame(
@@ -145,7 +148,8 @@ class TestConflictEdges:
              "y": [5.0, 8.0, 995.0, 998.0]}
         )
         wl = Workload(tasks=tasks, workers=workers, m=2, domain=1000.0)
-        edges, _, _ = conflict_edges(build_task_contexts(wl, top_r=2))
+        monkeypatch.setattr(assignment, "DEFAULT_TOP_R", 2)
+        edges, _, _ = conflict_edges(build_task_contexts(wl))
         assert edges == set()
 
     @pytest.mark.parametrize(

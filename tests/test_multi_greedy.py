@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.assignment import (
+    DEFAULT_TOP_R,
     TaskContext,
     average_task_cost,
     build_task_contexts,
@@ -220,11 +221,15 @@ class TestEverySerialPlan:
 
 
 def _ctx(task_id, workers, costs, m=2):
-    """A task whose candidates at every slot are ``workers`` (ascending cost)."""
+    """A task whose candidates at every slot are ``workers`` (ascending cost),
+    padded with ``-1`` / ``inf`` to ``DEFAULT_TOP_R + 1`` columns."""
+    pad = DEFAULT_TOP_R + 1 - len(workers)
     return TaskContext(
         task_id=task_id, x=0.0, y=0.0, m=m,
-        slot_workers=[np.asarray(workers, dtype=np.int64)] * m,
-        slot_costs=[np.asarray(costs, dtype=np.float64)] * m,
+        slot_workers=np.tile(np.pad(np.asarray(workers, dtype=np.int64),
+                                    (0, pad), constant_values=-1), (m, 1)),
+        slot_costs=np.tile(np.pad(np.asarray(costs, dtype=np.float64),
+                                  (0, pad), constant_values=np.inf), (m, 1)),
     )
 
 
