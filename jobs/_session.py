@@ -1,7 +1,7 @@
-"""Shared SparkSession builder for spark-submit job entrypoints.
-
-Mirrors the pytest fixture in conftest.py (local[*], Arrow on, broadcast
-joins disabled) so job runs and test runs exercise the same plans.
+"""The one SparkSession builder: job entrypoints, the pytest ``spark``
+fixture and the benchmark all call :func:`get_spark` (local[*] unless
+``SPARK_MASTER`` says otherwise, Arrow on, broadcast joins disabled), so
+job, test and benchmark runs exercise the same plans.
 """
 import os
 

@@ -43,16 +43,6 @@ class TaskContext:
     slot_workers: np.ndarray = field(repr=False)
     slot_costs: np.ndarray = field(repr=False)
 
-    def cost_at_rank(self, slot: int, rank: int = 0) -> float:
-        """Travel cost of the rank-th nearest worker (inf if none)."""
-        c = self.slot_costs[slot]
-        return float(c[rank]) if rank < len(c) else np.inf
-
-    def worker_at_rank(self, slot: int, rank: int = 0) -> int:
-        """Worker id of the rank-th nearest worker (−1 if none)."""
-        w = self.slot_workers[slot]
-        return int(w[rank]) if rank < len(w) else -1
-
     def base_costs(self) -> np.ndarray:
         """Rank-0 cost per slot (inf where no worker is available)."""
         return self.slot_costs[:, 0]

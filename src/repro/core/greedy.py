@@ -131,4 +131,4 @@ def solve_sqm_opt(ctx: TaskContext, budget: float, k: int) -> Assignment:
                 best_set, best_q, best_cost = combo, q, c
     # combinations() of the ascending candidates keeps each subset ascending.
     return Assignment(ctx.task_id, list(best_set),
-                      [ctx.worker_at_rank(j, 0) for j in best_set], best_cost, best_q)
+                      ctx.slot_workers[list(best_set), 0].tolist(), best_cost, best_q)

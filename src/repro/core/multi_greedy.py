@@ -82,9 +82,9 @@ class ClaimLedger:
     It holds the claimed (worker, slot) pairs and each task's current rank
     per slot; a task's *current worker* at a slot is its candidate at that
     rank (−1, at cost ``inf``, past the ``top_r`` retained candidates).
-    ``bumps`` counts rank advances, i.e. worker conflicts.  An index from
-    (slot, worker) to the tasks whose current worker it is finds a claim's
-    rivals without scanning every task.
+    ``bumps`` counts rank advances, i.e. worker conflicts.  ``ranks`` is the
+    only rank state: a claim finds its rivals by comparing every task's
+    current worker at the slot with the claimed one, in one vectorized step.
 
     ``plan[i]`` is task ``i``'s claims so far — its executed slots, their
     workers and its summed cost, all in commit order — and ``commits`` is
@@ -94,16 +94,13 @@ class ClaimLedger:
 
     def __init__(self, ctxs: list[TaskContext]):
         self.ctxs = ctxs
-        self.ranks = np.zeros((len(ctxs), ctxs[0].m if ctxs else 0), dtype=np.int64)
+        self._workers = (np.stack([c.slot_workers for c in ctxs]) if ctxs
+                         else np.empty((0, 0, 1), dtype=np.int64))
+        self.ranks = np.zeros(self._workers.shape[:2], dtype=np.int64)
         self.claimed: set[tuple[int, int]] = set()
         self.plan = [Assignment(c.task_id, [], [], 0.0, 0.0) for c in ctxs]
         self.bumps = 0
         self.commits: list[tuple[int, int]] = []
-        self._holders: dict[tuple[int, int], set[int]] = {}
-        for i, c in enumerate(ctxs):
-            first = c.slot_workers[:, 0]
-            for slot in np.flatnonzero(first >= 0).tolist():
-                self._holders.setdefault((slot, int(first[slot])), set()).add(i)
 
     def worker(self, i: int, slot: int) -> int:
         return int(self.ctxs[i].slot_workers[slot, self.ranks[i, slot]])
@@ -120,7 +117,6 @@ class ClaimLedger:
         """Advance task ``i`` at ``slot`` to its next unclaimed rank (the
         paper's k-th-NN bump); returns the new current worker."""
         workers, r = self.ctxs[i].slot_workers[slot], int(self.ranks[i, slot])
-        self._holders.get((slot, int(workers[r])), set()).discard(i)
         while True:
             r += 1
             w = int(workers[r])
@@ -128,8 +124,6 @@ class ClaimLedger:
                 break
         self.ranks[i, slot] = r
         self.bumps += 1
-        if w != -1:
-            self._holders.setdefault((slot, w), set()).add(i)
         return w
 
     def record(self, i: int, slot: int) -> tuple[int, float]:
@@ -151,7 +145,10 @@ class ClaimLedger:
         """Record task ``i``'s claim and bump every other task whose current
         worker at ``slot`` it took.  Returns (worker, cost, bumped tasks)."""
         worker, cost = self.record(i, slot)
-        rivals = sorted(self._holders.get((slot, worker), set()) - {i})
+        rows = np.arange(len(self.ctxs))
+        holds = self._workers[rows, slot, self.ranks[:, slot]] == worker
+        holds[i] = False
+        rivals = np.flatnonzero(holds).tolist()
         for t in rivals:
             self.bump(t, slot)
         return worker, cost, rivals
@@ -329,6 +326,6 @@ def solve_single_task(
     costs = ctx.base_costs()
     best, best_q = _best_single_subtask(ctx.m, k, costs, budget)
     if best is not None and best_q > a.quality + EPS:
-        worker = ctx.worker_at_rank(best, 0)
+        worker = int(ctx.slot_workers[best, 0])
         return Assignment(ctx.task_id, [best], [worker], float(costs[best]), best_q, a.stats)
     return a

@@ -2,8 +2,8 @@
 
 Each ``figX`` function runs the workload sweep behind the corresponding
 figure and returns a tidy ``pandas.DataFrame`` — the "table of numbers" the
-figure plots.  ``jobs/`` entrypoints print these tables; ``benchmarks/``
-time the heavy cells; EXPERIMENTS.md records paper-vs-measured.
+figure plots.  ``jobs/`` entrypoints print these tables;
+EXPERIMENTS.md records paper-vs-measured.
 
 Scales follow DESIGN.md §2: the paper's m ∈ {300, 500, 1000} and
 |T| ∈ {100, 300, 500} shrink to m ∈ {100..400} and |T| ∈ {8..40} (Python

@@ -71,7 +71,7 @@ def solve_msqm_group_parallel(
     try:
         sdf = spark.createDataFrame(state, _STATE_SCHEMA)
         if num_partitions:
-            sdf = sdf.repartition(min(num_partitions, len(state)), "group_id")
+            sdf = sdf.coalesce(num_partitions)
         log = sdf.mapInPandas(run_groups, _LOG_SCHEMA).toPandas()
     finally:
         ctxs_bc.unpersist()

@@ -30,6 +30,11 @@ truncated and it re-proposes next round.  ``priority=False`` disables the
 paper's priority adjustment (Fig 9f): chains are merged in task-id order
 instead of by heuristic value.
 
+The master keeps one log: a row per popped head with its round, task, slot,
+heuristic, outcome and the task's rank at the slot (after the bump, for a
+conflict).  The returned Heartbeat (each task's last heuristic), Conflicting
+(the conflict rows) and Logging tables are views of it.
+
 Stopping rule: before each round the master drops every task none of whose
 unexecuted slots has a finite cost within the remaining budget — the
 executors' own ``best_candidate`` test, so exactly the tasks that would
@@ -63,6 +68,7 @@ _STATE_SCHEMA = (
 )
 _PROPOSAL_COLUMNS = ["task_id", "ord", "slot", "gain"]
 _PROPOSAL_SCHEMA = "task_id long, ord long, slot long, gain double"
+_LOG_COLUMNS = ["round", "task_id", "slot", "heuristic", "committed", "reason", "rank"]
 
 
 def _has_affordable(costs: np.ndarray, exec_slots: list[int], rem: float) -> bool:
@@ -113,9 +119,7 @@ def solve_msqm_task_parallel(
     ledger = ClaimLedger(build_task_contexts(wl))
     rem = float(budget)
     active = list(range(len(ledger.plan)))
-    heartbeat: dict[int, float] = {}
-    conflict_rows: list[dict] = []
-    log_rows: list[dict] = []
+    log_rows: list[tuple] = []
     rounds = 0
 
     def heuristic(t: int, slot: int, gain: float) -> float:
@@ -129,9 +133,10 @@ def solve_msqm_task_parallel(
         return (-heuristic(t, *chains[t][ptr[t]]), t) if priority else (t,)
 
     def log(t: int, slot: int, h: float, reason: str) -> None:
-        log_rows.append({"round": rounds, "task_id": t, "slot": slot,
-                         "heuristic": h, "committed": reason == "ok",
-                         "reason": reason})
+        # The master log: one row per popped head, with the task's current
+        # 1-based rank at the slot (after the bump, for a conflict).
+        log_rows.append((rounds, t, slot, h, reason == "ok", reason,
+                         int(ledger.ranks[t, slot]) + 1))
 
     propose = _make_propose_fn(wl.m, k, t_s, CHAIN_LEN)
     while True:
@@ -152,7 +157,7 @@ def solve_msqm_task_parallel(
         )
         sdf = spark.createDataFrame(state, _STATE_SCHEMA)
         if num_partitions:
-            sdf = sdf.repartition(min(num_partitions, len(active)), "task_id")
+            sdf = sdf.coalesce(num_partitions)
         props = sdf.mapInPandas(propose, _PROPOSAL_SCHEMA).toPandas()
         chains: dict[int, list[tuple[int, float]]] = {}
         for t, slot, gain in props.sort_values(["task_id", "ord"])[
@@ -166,7 +171,7 @@ def solve_msqm_task_parallel(
             t = heapq.heappop(heads)[-1]
             slot, gain = chains[t][ptr[t]]
             cost = ledger.cost(t, slot)
-            h = heartbeat[t] = heuristic(t, slot, gain)
+            h = heuristic(t, slot, gain)
             if (ledger.worker(t, slot), slot) in ledger.claimed:
                 # Conflict: the proposal's gain is unaffected (quality
                 # depends on slots, not workers), so bump the loser to its
@@ -175,13 +180,8 @@ def solve_msqm_task_parallel(
                 # re-enter the merge at its new price.  Only this loser is
                 # bumped: commits never bump rivals eagerly, which would
                 # reprice next round's proposals.
-                log(t, slot, h, "conflict")
                 w = ledger.bump(t, slot)
-                conflict_rows.append(
-                    {"task_id": t, "slot": slot,
-                     "bumped_to_rank": int(ledger.ranks[t, slot]) + 1,
-                     "round": rounds}
-                )
+                log(t, slot, h, "conflict")
                 if w != -1:
                     heapq.heappush(heads, head_key(t))
                 # Else no workers are left for this slot: the rest of the
@@ -202,12 +202,17 @@ def solve_msqm_task_parallel(
         quality_from_p(p_vector(np.sort(np.asarray(a.exec_slots, np.int64)), wl.m, k))
         for a in ledger.plan
     ])
+    # The master's three tables are views of its one log.
+    rows = pd.DataFrame(log_rows, columns=_LOG_COLUMNS)
+    heartbeat = {t: h for _, t, _, h, *_ in log_rows}
     tables = {
         "heartbeat": pd.DataFrame(
             {"task_id": list(heartbeat), "heuristic": list(heartbeat.values())}
         ),
-        "conflicting": pd.DataFrame(conflict_rows),
-        "logging": pd.DataFrame(log_rows),
+        "conflicting": rows.loc[rows.reason == "conflict",
+                                ["task_id", "slot", "rank", "round"]]
+        .rename(columns={"rank": "bumped_to_rank"}).reset_index(drop=True),
+        "logging": rows.drop(columns="rank"),
         "rounds": rounds,
     }
     return result, tables

@@ -200,9 +200,7 @@ def solve_stcc_opt(
     pairs = [
         (i, int(s)) for i in range(n) for s in ctxs[i].assignable_slots()
     ]
-    base_costs = np.array(
-        [ctxs[i].cost_at_rank(s, 0) for i, s in pairs]
-    )
+    base_costs = np.array([ctxs[i].slot_costs[s, 0] for i, s in pairs])
     # Budget caps the subset size: r items cost at least the r cheapest.
     cheap = np.sort(base_costs)
     max_r = int(np.searchsorted(np.cumsum(cheap), budget, side="right"))

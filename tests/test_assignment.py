@@ -46,10 +46,10 @@ class TestTaskContext:
         w = wl.workers
         for j in range(ctx.m):
             for r in range(min(2, len(_retained(ctx, j)[0]))):
-                wid = ctx.worker_at_rank(j, r)
+                wid = ctx.slot_workers[j, r]
                 row = w[(w.worker_id == wid) & (w.slot == j)].iloc[0]
                 d = np.hypot(row.x - ctx.x, row.y - ctx.y)
-                assert ctx.cost_at_rank(j, r) == pytest.approx(d)
+                assert ctx.slot_costs[j, r] == pytest.approx(d)
 
     def test_rank0_is_nearest(self, wl, ctxs):
         ctx = ctxs[1]
@@ -60,12 +60,14 @@ class TestTaskContext:
                 assert len(_retained(ctx, j)[0]) == 0
                 continue
             d = np.hypot(grp.x - ctx.x, grp.y - ctx.y)
-            assert ctx.cost_at_rank(j, 0) == pytest.approx(float(d.min()))
+            assert ctx.slot_costs[j, 0] == pytest.approx(float(d.min()))
 
     def test_out_of_range_rank_is_inf_and_minus1(self, ctxs):
-        ctx = ctxs[0]
-        assert ctx.cost_at_rank(0, DEFAULT_TOP_R + 5) == np.inf
-        assert ctx.worker_at_rank(0, DEFAULT_TOP_R + 5) == -1
+        """A bump past the retained candidates lands on the pad column."""
+        for ctx in ctxs:
+            assert ctx.slot_workers.shape == ctx.slot_costs.shape == (ctx.m, DEFAULT_TOP_R + 1)
+            assert (ctx.slot_workers[:, -1] == -1).all()
+            assert (ctx.slot_costs[:, -1] == np.inf).all()
 
     def test_top_r_truncation(self, wl, monkeypatch):
         monkeypatch.setattr(assignment, "DEFAULT_TOP_R", 2)

@@ -88,7 +88,7 @@ class TestRankedCandidates:
         assert len(pairs) > 0
         for r in pairs.itertuples(index=False):
             for t, rank in ((r.task_a, r.rank_a), (r.task_b, r.rank_b)):
-                assert ctxs[t].worker_at_rank(r.slot, rank - 1) == r.worker
+                assert ctxs[t].slot_workers[r.slot, rank - 1] == r.worker
 
     def test_top_r_enforced(self, monkeypatch):
         monkeypatch.setattr(assignment, "DEFAULT_TOP_R", 2)
@@ -101,8 +101,8 @@ class TestRankedCandidates:
 
     def test_distance_is_euclidean(self):
         ctx = build_task_contexts(_toy_workload())[0]
-        assert ctx.worker_at_rank(0, 0) == 0
-        assert ctx.cost_at_rank(0, 0) == pytest.approx(np.hypot(10, 10))
+        assert ctx.slot_workers[0, 0] == 0
+        assert ctx.slot_costs[0, 0] == pytest.approx(np.hypot(10, 10))
 
 
 class TestConflictEdges:

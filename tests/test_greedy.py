@@ -46,7 +46,7 @@ class TestApprox:
         ctx, avg = _ctx(seed=seed)
         a = solve_sqm_approx(ctx, 0.25 * avg, 3)
         for slot, w in zip(a.exec_slots, a.workers):
-            assert w == ctx.worker_at_rank(slot, 0)
+            assert w == ctx.slot_workers[slot, 0]
 
     def test_zero_budget_executes_nothing(self):
         ctx, _ = _ctx()

@@ -8,7 +8,7 @@ from repro.core.assignment import (
     average_task_cost,
     build_task_contexts,
 )
-from repro.core import multi_greedy
+from repro.core import assignment, multi_greedy
 from repro.core.greedy import NaiveScorer
 from repro.core.multi_greedy import (
     ClaimLedger,
@@ -291,11 +291,14 @@ class TestClaimLedger:
         assert (r.conflicts, r.q_sum, r.total_cost, r.steps) == (1, 0.75, 6.0, 3)
         assert r.commits == [(0, 2), (1, 2), (0, 0)]
 
+    @pytest.mark.parametrize("top_r", [DEFAULT_TOP_R, 2])
     @pytest.mark.parametrize("seed", range(4))
-    def test_rivals_match_a_scan_of_every_task(self, seed):
+    def test_rivals_match_a_scan_of_every_task(self, monkeypatch, seed, top_r):
         """Through claims, bare records and lazy bumps (the task-parallel
         merge), a claim's rivals are exactly the other tasks whose current
-        worker it takes, in task-id order."""
+        worker it takes, in task-id order.  With two retained candidates,
+        bumps run tasks out of workers, and a task at −1 is nobody's rival."""
+        monkeypatch.setattr(assignment, "DEFAULT_TOP_R", top_r)
         _, ctxs, _ = _instance(n_tasks=12, n_workers=30, m=10, seed=seed,
                                dist="gaussian")
         ledger = ClaimLedger(ctxs)
@@ -316,6 +319,8 @@ class TestClaimLedger:
                 assert ledger.claim(i, slot)[2] == want
                 n_rivals += len(want)
         assert n_rivals > 0
+        if top_r == 2:
+            assert (ledger.ranks == 2).any()  # some task ran past its list
 
     @pytest.mark.parametrize("seed", range(4))
     def test_no_pair_claimed_twice(self, seed):

@@ -171,12 +171,13 @@ def _instance(n_tasks=6, n_workers=300, m=20, seed=0, dist="uniform"):
     return wl, ctxs, b
 
 
-def _solve_in_job_group(spark, group, wl, b, **kw):
-    """Solve under a Spark job group: (tables, the group's stage infos)."""
+def _stages_of(spark, group, solve):
+    """Run ``solve()`` under a Spark job group: (its return, the group's
+    stage infos)."""
     sc = spark.sparkContext
     sc.setJobGroup(group, group)
     try:
-        _, tables = solve_msqm_task_parallel(spark, wl, b, 3, **kw)
+        out = solve()
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
         sc.setLocalProperty("spark.job.description", None)
@@ -186,7 +187,7 @@ def _solve_in_job_group(spark, group, wl, b, **kw):
         for j in tracker.getJobIdsForGroup(group)
         for s in tracker.getJobInfo(j).stageIds
     }
-    return tables, [tracker.getStageInfo(s) for s in stage_ids]
+    return out, [tracker.getStageInfo(s) for s in stage_ids]
 
 
 class TestTaskParallel:
@@ -306,6 +307,14 @@ class TestTaskParallel:
         r, tables = solve_msqm_task_parallel(spark, wl, 100.0, 3)
         assert r.assignments == []
         assert (r.conflicts, r.q_sum, r.steps, tables["rounds"]) == (0, 0.0, 0, 0)
+        # The master log's views keep their columns when nothing was logged.
+        assert {name: list(tables[name].columns) for name in
+                ("heartbeat", "conflicting", "logging")} == {
+            "heartbeat": ["task_id", "heuristic"],
+            "conflicting": ["task_id", "slot", "bumped_to_rank", "round"],
+            "logging": ["round", "task_id", "slot", "heuristic", "committed", "reason"],
+        }
+        assert all(tables[name].empty for name in ("heartbeat", "conflicting", "logging"))
 
     def test_one_task_equals_serial(self, spark):
         wl, ctxs, b = _instance(n_tasks=1, seed=0)
@@ -320,7 +329,7 @@ class TestTaskParallel:
     @pytest.mark.parametrize("dist", ["gaussian", "poi"])
     def test_output_pinned(self, spark, monkeypatch, dist, setting):
         """Plans, conflicts, rounds and the Logging Table's order are those
-        of the sort-based chain merge (``part2`` repartitions the state and
+        of the sort-based chain merge (``part2`` coalesces the state and
         must not change the default's output)."""
         if setting == "chain1":
             monkeypatch.setattr(task_parallel, "CHAIN_LEN", 1)
@@ -343,16 +352,29 @@ class TestTaskParallel:
         assert tables["rounds"] == want["rounds"]
         assert log == want["log"]
 
-    def test_one_stage_per_round_on_several_cores(self, spark):
+    @pytest.mark.parametrize("num_partitions", [None, 2, 16])
+    @pytest.mark.parametrize("framework", ["task", "group"])
+    def test_one_stage_per_round_on_several_cores(self, spark, framework,
+                                                  num_partitions):
         """Each round is one Spark stage whose tasks spread over the cores:
-        no shuffle that adaptive execution could coalesce into one task."""
-        wl, _, b = _instance(n_tasks=8, n_workers=300, m=20, seed=0)
-        tables, stages = _solve_in_job_group(
-            spark, "test_task_parallel_round_stages", wl, b
+        no shuffle that adaptive execution could coalesce into one task.
+        ``num_partitions`` only merges partitions, so a count above the
+        cores runs as the cores.  Group-parallel's instance has 9 conflict
+        groups, so its one round has 9 state rows."""
+        if framework == "task":
+            wl, _, b = _instance(n_tasks=8, n_workers=300, m=20, seed=0)
+            solve = solve_msqm_task_parallel
+        else:
+            wl, _, b = _instance(n_tasks=16, n_workers=4000, m=50, seed=0)
+            solve = solve_msqm_group_parallel
+        (_, tables), stages = _stages_of(
+            spark, f"test_round_stages_{framework}_{num_partitions}",
+            lambda: solve(spark, wl, b, 3, num_partitions=num_partitions),
         )
-        assert len(stages) == tables["rounds"]
+        assert len(stages) == (tables["rounds"] if framework == "task" else 1)
+        cores = spark.sparkContext.defaultParallelism
         for s in stages:
-            assert s.numTasks >= min(2, spark.sparkContext.defaultParallelism)
+            assert min(2, cores) <= s.numTasks <= min(num_partitions or cores, cores)
 
 
 def _final_prices(ctxs, tables, budget):
@@ -363,7 +385,7 @@ def _final_prices(ctxs, tables, budget):
         rank[row.task_id, row.slot] = row.bumped_to_rank - 1
 
     def cost(t, slot):
-        return ctxs[t].cost_at_rank(slot, rank.get((t, slot), 0))
+        return ctxs[t].slot_costs[slot, rank.get((t, slot), 0)]
 
     rem = float(budget)
     for row in tables["logging"].itertuples():
@@ -396,8 +418,9 @@ class TestStoppingRule:
     def test_partitions_capped_at_active_tasks(self, spark):
         """``num_partitions`` above the task count adds no empty Spark tasks."""
         wl, _, b = _instance(n_tasks=4, n_workers=100, m=12, seed=0)
-        tables, stages = _solve_in_job_group(
-            spark, "test_task_parallel_partition_cap", wl, b, num_partitions=16
+        (_, tables), stages = _stages_of(
+            spark, "test_task_parallel_partition_cap",
+            lambda: solve_msqm_task_parallel(spark, wl, b, 3, num_partitions=16),
         )
         assert tables["rounds"] >= 1 and stages
         for s in stages:
