@@ -6,10 +6,11 @@ def _driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.
 
     Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback. spark.driver.memory is read at JVM launch, not
-    from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before pyspark is
-    imported anywhere — this runs at conftest import, which pytest loads
-    before any test module.
+    limit > half of /proc/meminfo's MemTotal clamped to 2–8g (the tier-1
+    command's rule; 2g if that is unreadable). spark.driver.memory is read
+    at JVM launch, not from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS
+    before pyspark is imported anywhere — this runs at conftest import,
+    which pytest loads before any test module.
 
     The cgroup read is best-effort: the sandbox runs under gVisor, whose
     sysfs emulation may not pass the host limit through. An unbounded
@@ -33,8 +34,13 @@ def _driver_mem() -> str:
             return f"{max(1, int(gib * 0.75))}g"
         except (OSError, ValueError):
             continue
-    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
-    return "48g"
+    os.environ["_SPARK_DRIVER_MEM_SRC"] = "meminfo"
+    try:
+        with open("/proc/meminfo") as f:
+            kib = next(int(line.split()[1]) for line in f if line.startswith("MemTotal:"))
+    except (OSError, ValueError, IndexError, StopIteration):
+        return "2g"
+    return f"{min(max(kib // (2 << 20), 2), 8)}g"
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())

@@ -97,6 +97,7 @@ class ClaimLedger:
         self._workers = (np.stack([c.slot_workers for c in ctxs]) if ctxs
                          else np.empty((0, 0, 1), dtype=np.int64))
         self.ranks = np.zeros(self._workers.shape[:2], dtype=np.int64)
+        self._rows = np.arange(len(ctxs))
         self.claimed: set[tuple[int, int]] = set()
         self.plan = [Assignment(c.task_id, [], [], 0.0, 0.0) for c in ctxs]
         self.bumps = 0
@@ -145,8 +146,7 @@ class ClaimLedger:
         """Record task ``i``'s claim and bump every other task whose current
         worker at ``slot`` it took.  Returns (worker, cost, bumped tasks)."""
         worker, cost = self.record(i, slot)
-        rows = np.arange(len(self.ctxs))
-        holds = self._workers[rows, slot, self.ranks[:, slot]] == worker
+        holds = self._workers[self._rows, slot, self.ranks[:, slot]] == worker
         holds[i] = False
         rivals = np.flatnonzero(holds).tolist()
         for t in rivals:

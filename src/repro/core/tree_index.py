@@ -45,6 +45,19 @@ Construction runs the same refresh over the whole timeline.
 
 A leaf's stale candidates are evaluated together, in one vectorized pass over
 their affected windows.
+
+No ``log2`` runs per candidate or per refresh.  Every temporal distance is an
+integer capped at ``m`` (Eqs 2–3, footnote 2), so every distance sum ``s`` the
+index meets — ``D_sum``, the Eq-6 bound ``D_sum − d_k + 1`` and a tentative
+``D_sum − d_k + |y − x|`` — is an integer in ``[0, k·m]``, and every finishing
+probability is ``p = (1 − s/(k·m))/m``.  ``−p·log2 p`` thus takes ``k·m + 1``
+values, computed once per ``(k, m)`` into a table that ``D_sum`` and ``d_k``
+(integer state) index.  The table applies the float formula's operations in
+its order to the same exactly represented ``s``, and each of those
+elementwise operations, ``log2`` included, maps equal inputs to equal bits
+wherever they sit in an array; so each lookup has the bits the formula would
+give (the tests compare them byte for byte), and plans, search counters and
+qualities are those of the formula.
 """
 from __future__ import annotations
 
@@ -85,6 +98,22 @@ class _Tree:
     l_arr: np.ndarray
     r_arr: np.ndarray
     reduce_at: np.ndarray
+
+
+@functools.cache
+def _entropy_table(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``p`` (Eq 2) and ``g(p) = −p·log2 p`` for every distance sum s = 0..k·m.
+
+    The operations are the float formula's, in its order, so each entry has
+    the bits that formula gives for that s.
+    """
+    P = np.arange(k * m + 1, dtype=np.float64)
+    P /= k * m
+    np.subtract(1.0, P, out=P)
+    P /= m
+    G = partial_quality(P)
+    P.flags.writeable = G.flags.writeable = False
+    return P, G
 
 
 @functools.cache
@@ -137,13 +166,16 @@ class VoronoiTreeIndex:
         self._cost_ext, self._gp_ext, self._prefix = np.zeros((3, m + 1))
         self.costs, self.g_p = self._cost_ext[:m], self._gp_ext[:m]
         self.costs[:] = costs
-        # D_sum, d_k, p, Eq-6 terms, and the cached exact Δq/cost and Δq:
-        # cross-step reuse (the paper's incremental tree maintenance) keeps a
+        # p, Eq-6 terms, and the cached exact Δq/cost and Δq: cross-step
+        # reuse (the paper's incremental tree maintenance) keeps a
         # candidate's exact heuristic valid across commits whose affected
         # window does not overlap the window it was computed over.
-        self.D_sum, self.dk, self.p, self._diff, self.h_last, self.gain_last = np.zeros((6, m))
-        # Cached windows, and each k-NN set's last executed slot.
-        self.win_lo, self.win_hi, self._knn_last = np.zeros((3, m), dtype=np.int64)
+        self.p, self._diff, self.h_last, self.gain_last = np.zeros((4, m))
+        # D_sum and d_k (sums of integer distances, indices into the entropy
+        # table), cached windows, and each k-NN set's last executed slot.
+        self.D_sum, self.dk, self.win_lo, self.win_hi, self._knn_last = np.zeros(
+            (5, m), dtype=np.int64)
+        self._P, self._G = _entropy_table(k, m)
         self.is_exec, self.h_valid = np.zeros((2, m), dtype=bool)
         self._slots = np.arange(m)
         # Executed slots in order, then −1s: indexed by knn_distances' −1
@@ -189,25 +221,18 @@ class VoronoiTreeIndex:
         # A k-NN set is a run of min(|executed|, k) consecutive executed
         # slots, so its last slot (−1 for none) identifies it.
         self._knn_last[rows] = self._exec_buf[IDX].max(axis=1)
-        # p (Eq 2, row 0) and its Eq-6 upper bound (row 1) over the window,
-        # both within [0, 1/m].  An executed slot's Eq-6 term is 0, since
-        # g = −p·log2 p is increasing on [0, 1/m] (below m = 3 the terms go
-        # unused).
+        # p (Eq 2) over the window, and its Eq-6 term: g at the upper bound
+        # D_sum − d_k + 1 ≤ k·m of the distance sum, less g_p.  An executed
+        # slot's Eq-6 term is 0, since g = −p·log2 p is increasing on
+        # [0, 1/m] (below m = 3 the terms go unused).
         win = slice(lo, hi + 1)
-        P = np.empty((2, hi + 1 - lo))
-        P[0] = self.D_sum[win]
-        np.subtract(P[0], self.dk[win], out=P[1])
-        P[1] += 1.0
-        P /= k * m
-        np.subtract(1.0, P, out=P)
-        P /= m
-        G = partial_quality(P)
-        self.p[win] = P[0]
-        self.g_p[win] = G[0]
-        np.maximum(G[1] - G[0], 0.0, out=self._diff[win])
+        s = self.D_sum[win]
+        self.p[win] = self._P[s]
+        self.g_p[win] = g = self._G[s]
+        np.maximum(self._G[s - self.dk[win] + 1] - g, 0.0, out=self._diff[win])
         self._diff.cumsum(out=self._prefix[1:])
         # M and N in one pass: N reversed and negated is a running max too.
-        S = np.empty((2, m))
+        S = np.empty((2, m), dtype=np.int64)
         np.add(self._slots, self.dk, out=S[0])
         np.subtract(self.dk[::-1], self._slots[::-1], out=S[1])
         np.maximum.accumulate(S, axis=1, out=S)
@@ -302,7 +327,7 @@ class VoronoiTreeIndex:
         every Δq.
         """
         t0 = time.perf_counter()
-        m, k = self.m, self.k
+        m = self.m
         lo, hi = self._lo[xs], self._hi[xs]
         span = hi - lo
         w = int(span.max()) + 1
@@ -313,10 +338,11 @@ class VoronoiTreeIndex:
         d = np.abs(ys - xs[:, None])
         dk = self.dk[ys]
         mask = (d < dk) & (ys != xs[:, None])
-        # Under the mask new_sum < D_sum ≤ k·m, so new_p > 0; 1.0 fills the
-        # rest to keep log2 finite.
-        new_p = np.where(mask, (1.0 - (self.D_sum[ys] - dk + d) / (k * m)) / m, 1.0)
-        terms = np.where(mask, -new_p * np.log2(new_p) - self.g_p[ys], 0.0)
+        # Executing x swaps y's k-th distance for |y − x|.  The new sum lies
+        # in [0, k·m − 1] for every slot of a row (d_k ≤ D_sum, the other
+        # k − 1 distances are at most m each, and |y − x| < m), so the
+        # entropy table is read unmasked.
+        terms = np.where(mask, self._G[self.D_sum[ys] - dk + d] - self.g_p[ys], 0.0)
         gain = terms.sum(axis=1) + (self.g_exec - self.g_p[xs])
         self.counters["interp_ops"] += int(span.sum()) + len(xs)
         self.timers["interp"] += time.perf_counter() - t0
@@ -332,7 +358,7 @@ class VoronoiTreeIndex:
         """Best-first argmax of Δq/cost over affordable unexecuted slots."""
         m = self.m
         afford = (~self.is_exec) & np.isfinite(self.costs) & (self.costs <= rem_budget)
-        n_afford = int(afford.sum())
+        n_afford = np.count_nonzero(afford)
         self.counters["candidates_total"] += n_afford
         if n_afford == 0:
             return None
@@ -368,7 +394,7 @@ class VoronoiTreeIndex:
             l, r = L[node], R[node]
             if r - l + 1 <= t_s or knn[l] == knn[r]:
                 self.timers["index"] += time.perf_counter() - t0
-                xs = l + np.flatnonzero(stale[l : r + 1])
+                xs = l + stale[l : r + 1].nonzero()[0]
                 hs, gains = self.exact_heuristic(xs)
                 self.counters["candidates_evaluated"] += len(xs)
                 # Slot order, as a sequential scan: within EPS the lower slot wins.

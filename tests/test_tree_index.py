@@ -7,8 +7,8 @@ import pytest
 from repro.core.assignment import build_task_contexts, average_task_cost
 from repro.core.greedy import solve_sqm_approx
 from repro.core.multi_greedy import solve_msqm_serial
-from repro.core.quality import p_vector, quality_from_p
-from repro.core.tree_index import VoronoiTreeIndex, solve_sqm_approx_star
+from repro.core.quality import p_vector, partial_quality, quality_from_p
+from repro.core.tree_index import VoronoiTreeIndex, _entropy_table, solve_sqm_approx_star
 from repro.workloads import Workload, gen_workload
 
 
@@ -186,7 +186,7 @@ def _search_state(idx):
 
 
 class TestIncrementalState:
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("order", ["random", "evenly_spaced"])
     def test_matches_fresh_index_after_every_call(self, k, seed, order):
@@ -209,6 +209,12 @@ class TestIncrementalState:
         def check():
             fresh = VoronoiTreeIndex(m, k, costs, initial_exec=idx.exec_sorted.tolist())
             assert _search_state(idx) == _search_state(fresh)
+            # Integer entropy-table indices: the k − 1 distances besides d_k
+            # are at most m each, which keeps every sum exact_heuristic reads
+            # inside the table.
+            assert idx.D_sum.dtype.kind == idx.dk.dtype.kind == "i"
+            assert ((0 <= idx.dk) & (idx.dk <= m)).all()
+            assert ((idx.dk <= idx.D_sum) & (idx.D_sum <= idx.dk + (k - 1) * m)).all()
 
         for x in slots[: int(rng.integers(m // 2, m + 1))]:
             if rng.random() < 0.5:
@@ -218,6 +224,100 @@ class TestIncrementalState:
                 check()
             idx.commit(x)
             check()
+
+
+def _float_refresh(idx):
+    """``p``, ``g_p`` and the Eq-6 terms by the float formula the index used
+    before the entropy table, in its two-row layout, over every slot."""
+    m, k = idx.m, idx.k
+    P = np.empty((2, m))
+    P[0] = idx.D_sum
+    np.subtract(P[0], idx.dk, out=P[1])
+    P[1] += 1.0
+    P /= k * m
+    np.subtract(1.0, P, out=P)
+    P /= m
+    G = partial_quality(P)
+    return P[0], G[0], np.maximum(G[1] - G[0], 0.0)
+
+
+def _float_exact_heuristic(idx, xs):
+    """``exact_heuristic``'s (h, gain) by the float formula it used before the
+    entropy table, in its (n, w) row layout; reads the index and changes
+    nothing."""
+    m, k = idx.m, idx.k
+    D_sum, dk_all = idx.D_sum.astype(np.float64), idx.dk.astype(np.float64)
+    lo, hi = idx._lo[xs], idx._hi[xs]
+    w = int((hi - lo).max()) + 1
+    ys = np.minimum(lo, m - w)[:, None] + np.arange(w)
+    d = np.abs(ys - xs[:, None])
+    dk = dk_all[ys]
+    mask = (d < dk) & (ys != xs[:, None])
+    new_p = np.where(mask, (1.0 - (D_sum[ys] - dk + d) / (k * m)) / m, 1.0)
+    terms = np.where(mask, -new_p * np.log2(new_p) - idx.g_p[ys], 0.0)
+    gain = terms.sum(axis=1) + (idx.g_exec - idx.g_p[xs])
+    return gain / idx.costs[xs], gain
+
+
+class TestEntropyTable:
+    @pytest.mark.parametrize("m", [1, 2, 3, 50, 200, 500])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_table_bits_equal_float_formula(self, k, m):
+        """Every entry has the bits of the float formula at its distance
+        sum, in exact_heuristic's (n, w) rows (sums below k·m, since the
+        mask keeps them under D_sum) and in _refresh's two rows (all sums)."""
+        P_tab, G_tab = _entropy_table(k, m)
+        km = k * m
+        s = np.random.default_rng(km).permutation(km + 1)
+        # (n, w) rows of 13 slots, as a leaf batch; unmasked cells read 1.0.
+        w = 13
+        rows = np.full(-(-km // w) * w, km)
+        rows[:km] = s[s < km]
+        rows = rows.reshape(-1, w).astype(np.float64)
+        mask = rows < km
+        new_p = np.where(mask, (1.0 - rows / (k * m)) / m, 1.0)
+        g = -new_p * np.log2(new_p)
+        assert G_tab[rows[mask].astype(np.int64)].tobytes() == g[mask].tobytes()
+        # Two rows: D_sum and D_sum − d_k + 1, each over the window.
+        P = np.empty((2, km + 1))
+        P[0], P[1] = s, s[::-1]
+        P /= k * m
+        np.subtract(1.0, P, out=P)
+        P /= m
+        G = partial_quality(P)
+        for row, s_row in enumerate((s, s[::-1])):
+            assert P_tab[s_row].tobytes() == P[row].tobytes()
+            assert G_tab[s_row].tobytes() == G[row].tobytes()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_index_bits_equal_float_formula(self, seed):
+        """The index's state and (h, gain) have the float formula's bits on
+        random states: k-NN ties, m < 3, inf costs, fewer than k executed
+        slots, and commits in between."""
+        rng = np.random.default_rng(seed + 70)
+        for k in (1, 2, 3, 4):
+            m = int(rng.choice([1, 2, 3, 5, 17, 40, 64]))
+            costs = rng.uniform(0.5, 5, m)
+            costs[rng.random(m) < 0.15] = np.inf
+            if seed % 2:  # evenly spaced: slots equidistant from two executed
+                step = int(rng.integers(2, 6))
+                order = list(range(0, m, step)) + [x for x in range(m) if x % step]
+            else:
+                order = rng.permutation(m).tolist()
+            n0 = int(rng.integers(0, min(k, m) + 1))  # at most k executed
+            idx = VoronoiTreeIndex(m, k, costs, initial_exec=order[:n0])
+            for x in order[n0:]:
+                p, g_p, diff = _float_refresh(idx)
+                assert (idx.p.tobytes(), idx.g_p.tobytes(), idx._diff.tobytes()) == (
+                    p.tobytes(), g_p.tobytes(), diff.tobytes())
+                unexec = np.flatnonzero(~idx.is_exec)
+                batch = np.sort(rng.choice(unexec, size=int(rng.integers(1, len(unexec) + 1)),
+                                           replace=False))
+                want = _float_exact_heuristic(idx, batch)
+                got = idx.exact_heuristic(batch)
+                assert (got[0].tobytes(), got[1].tobytes()) == (
+                    want[0].tobytes(), want[1].tobytes())
+                idx.commit(x)
 
 
 class TestBestCandidate:
