@@ -3,14 +3,15 @@ import sys
 
 
 def _driver_mem() -> str:
-    """~75% of the container's memory limit, for the Spark driver JVM.
+    """The Spark driver JVM's heap: ~75% of the cgroup memory limit, or
+    else half of /proc/meminfo's MemTotal clamped to 2–8g.
 
-    Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > half of /proc/meminfo's MemTotal clamped to 2–8g (the tier-1
-    command's rule; 2g if that is unreadable). spark.driver.memory is read
-    at JVM launch, not from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS
-    before pyspark is imported anywhere — this runs at conftest import,
-    which pytest loads before any test module.
+    Precedence: SPARK_DRIVER_MEM env (explicit override) > ~75% of the
+    cgroup v2/v1 limit > half of /proc/meminfo's MemTotal clamped to 2–8g
+    (the tier-1 command's rule; 2g if that is unreadable).
+    spark.driver.memory is read at JVM launch, not from SparkConf, so it
+    must be in PYSPARK_SUBMIT_ARGS before pyspark is imported anywhere —
+    this runs at conftest import, which pytest loads before any test module.
 
     The cgroup read is best-effort: the sandbox runs under gVisor, whose
     sysfs emulation may not pass the host limit through. An unbounded

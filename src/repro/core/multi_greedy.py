@@ -38,8 +38,8 @@ import numpy as np
 from repro.core.assignment import TaskContext
 from repro.core.greedy import EPS, Assignment, Candidate, NaiveScorer
 from repro.core.quality import p_vector  # noqa: F401  (perfbench/layertrace.py patches it here)
-from repro.core.quality import partial_quality, quality
-from repro.core.tree_index import VoronoiTreeIndex
+from repro.core.quality import quality
+from repro.core.tree_index import VoronoiTreeIndex, _entropy_table
 
 __all__ = [
     "ClaimLedger",
@@ -297,20 +297,17 @@ def _best_single_subtask(
     """Algorithm 1 line 3: the affordable single subtask of highest quality.
 
     With exactly one executed slot x, every other slot y has one real
-    neighbour at |y−x| plus (k−1) missing neighbours at distance m, so the
-    whole sweep vectorizes to O(m²).  Qualities within ``EPS`` of the best
-    tie, and the lowest slot among them wins.
+    neighbour at |y−x| plus (k−1) missing neighbours at distance m: its
+    distance sum is (k−1)·m + |y−x|, and x's own is 0, so the whole sweep is
+    one O(m²) gather from the entropy table of the tree index.  Qualities
+    within ``EPS`` of the best tie, and the lowest slot among them wins.
     """
     cand = np.nonzero(np.isfinite(costs) & (costs <= budget))[0]
     if len(cand) == 0:
         return None, -np.inf
-    ys = np.arange(m)
-    dist = np.abs(ys[None, :] - cand[:, None]).astype(np.float64)
-    sums = dist + (k - 1) * m
-    p = np.clip((1.0 - sums / (k * m)) / m, 0.0, None)
-    gp = partial_quality(p)
-    gp[np.arange(len(cand)), cand] = float(partial_quality(1.0 / m))
-    q = gp.sum(axis=1)
+    sums = np.abs(np.arange(m) - cand[:, None]) + (k - 1) * m
+    sums[np.arange(len(cand)), cand] = 0
+    q = _entropy_table(k, m)[1][sums].sum(axis=1)
     i = int(np.flatnonzero(q >= q.max() - EPS)[0])
     return int(cand[i]), float(q[i])
 

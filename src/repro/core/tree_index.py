@@ -8,7 +8,7 @@ exactly as the paper describes:
 
 1. **k-NN reuse (Voronoi locality).**  Current k-NN state is maintained for
    every slot (distance sums ``D_sum``, k-th distances ``dk``, neighbour
-   identities, finishing probabilities ``p``).  The *affected region* of a
+   identities, entropy terms ``g_p``).  The *affected region* of a
    tentative execution at slot ``x`` is ``{y : |y − x| < d_k(y)}`` — the
    slots whose order-k Voronoi cell changes — so an exact heuristic
    evaluation touches only that region instead of all ``m`` slots.
@@ -166,11 +166,11 @@ class VoronoiTreeIndex:
         self._cost_ext, self._gp_ext, self._prefix = np.zeros((3, m + 1))
         self.costs, self.g_p = self._cost_ext[:m], self._gp_ext[:m]
         self.costs[:] = costs
-        # p, Eq-6 terms, and the cached exact Δq/cost and Δq: cross-step
-        # reuse (the paper's incremental tree maintenance) keeps a
-        # candidate's exact heuristic valid across commits whose affected
-        # window does not overlap the window it was computed over.
-        self.p, self._diff, self.h_last, self.gain_last = np.zeros((4, m))
+        # Eq-6 terms, and the cached exact Δq/cost and Δq: cross-step reuse
+        # (the paper's incremental tree maintenance) keeps a candidate's
+        # exact heuristic valid across commits whose affected window does
+        # not overlap the window it was computed over.
+        self._diff, self.h_last, self.gain_last = np.zeros((3, m))
         # D_sum and d_k (sums of integer distances, indices into the entropy
         # table), cached windows, and each k-NN set's last executed slot.
         self.D_sum, self.dk, self.win_lo, self.win_hi, self._knn_last = np.zeros(
@@ -221,13 +221,12 @@ class VoronoiTreeIndex:
         # A k-NN set is a run of min(|executed|, k) consecutive executed
         # slots, so its last slot (−1 for none) identifies it.
         self._knn_last[rows] = self._exec_buf[IDX].max(axis=1)
-        # p (Eq 2) over the window, and its Eq-6 term: g at the upper bound
-        # D_sum − d_k + 1 ≤ k·m of the distance sum, less g_p.  An executed
-        # slot's Eq-6 term is 0, since g = −p·log2 p is increasing on
-        # [0, 1/m] (below m = 3 the terms go unused).
+        # g_p = g(p) (Eqs 1–2) over the window, and its Eq-6 term: g at the
+        # upper bound D_sum − d_k + 1 ≤ k·m of the distance sum, less g_p.
+        # An executed slot's Eq-6 term is 0, since g = −p·log2 p is
+        # increasing on [0, 1/m] (below m = 3 the terms go unused).
         win = slice(lo, hi + 1)
         s = self.D_sum[win]
-        self.p[win] = self._P[s]
         self.g_p[win] = g = self._G[s]
         np.maximum(self._G[s - self.dk[win] + 1] - g, 0.0, out=self._diff[win])
         self._diff.cumsum(out=self._prefix[1:])

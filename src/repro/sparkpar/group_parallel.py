@@ -4,13 +4,12 @@ The driver ranks workers once (:func:`build_task_contexts`) and builds the
 independent conflict groups from those contexts
 (:mod:`repro.sparkpar.conflict_graph`).  The groups are optimized
 concurrently: one state row per group (its id and its tasks' ids as an array
-column) goes through a ``mapInPandas`` stage, and each row runs the serial
-MSQM greedy on its tasks' contexts, in task-id order, and returns its commit
-log as ``(group_id, ord, task_id, slot)`` rows.  The state frame needs no
-shuffle, so the groups' rows spread over the cores; the contexts travel to
-the executors once per solve, as a broadcast variable.  The global budget is
-split across groups proportionally to group size (the paper does not
-specify the split — DESIGN.md §5).
+column) goes through one :func:`repro.sparkpar.run_stage`, and each row runs
+the serial MSQM greedy on its tasks' contexts, in task-id order, and returns
+its commit log as ``(group_id, ord, task_id, slot)`` rows.  The contexts
+travel to the executors once per solve, as a broadcast variable.  The global
+budget is split across groups proportionally to group size (the paper does
+not specify the split — DESIGN.md §5).
 
 The driver replays the logs, each in commit order, through one
 :class:`repro.core.multi_greedy.ClaimLedger` (the master's Conflicting
@@ -21,17 +20,16 @@ raises on a double claim, which checks that independence.
 """
 from __future__ import annotations
 
-import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.assignment import build_task_contexts
 from repro.core.multi_greedy import ClaimLedger, MultiResult, solve_msqm_serial
 from repro.core.quality import quality
+from repro.sparkpar import run_stage
 from repro.sparkpar.conflict_graph import build_groups
 from repro.workloads import Workload
 
 _STATE_SCHEMA = "group_id long, task_id array<long>"
-_LOG_COLUMNS = ["group_id", "ord", "task_id", "slot"]
 _LOG_SCHEMA = "group_id long, ord long, task_id long, slot long"
 
 
@@ -62,17 +60,10 @@ def solve_msqm_group_parallel(
         return [(g.group_id, ord_, t, slot)
                 for ord_, (t, slot) in enumerate(res.commits)]
 
-    def run_groups(batches):
-        for pdf in batches:
-            rows = [r for g in pdf.itertuples(index=False) for r in run_group(g)]
-            yield pd.DataFrame(rows, columns=_LOG_COLUMNS)
-
     ctxs_bc = spark.sparkContext.broadcast(ctxs)
     try:
-        sdf = spark.createDataFrame(state, _STATE_SCHEMA)
-        if num_partitions:
-            sdf = sdf.coalesce(num_partitions)
-        log = sdf.mapInPandas(run_groups, _LOG_SCHEMA).toPandas()
+        log = run_stage(spark, state, _STATE_SCHEMA, run_group, _LOG_SCHEMA,
+                        num_partitions)
     finally:
         ctxs_bc.unpersist()
 

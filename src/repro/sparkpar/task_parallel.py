@@ -6,12 +6,11 @@ slot, and the k-th-NN rank they are at), and a Logging Table; worker threads
 run per-task greedy steps and synchronize with the master on conflicts; the
 committed plan is deterministic — consistent with the serialized Algorithm 1.
 
-Spark expression (DESIGN.md §3): worker threads become a ``mapInPandas``
-stage over one state row per active task: its id, its executed slots as an
-``array<long>``, its current cost per slot as an ``array<double>`` (``inf``
-where no retained worker is left) and the remaining budget.  The state frame
-needs no shuffle, so each round is one Spark job of one stage whose tasks
-run on all cores.  For each row the stage builds the task's Voronoi tree
+Spark expression (DESIGN.md §3): worker threads become one
+:func:`repro.sparkpar.run_stage` per round over one state row per active
+task: its id, its executed slots as an ``array<long>``, its current cost per
+slot as an ``array<double>`` (``inf`` where no retained worker is left) and
+the remaining budget.  For each row the stage builds the task's Voronoi tree
 index from that state and emits a *chain* of up to ``CHAIN_LEN`` sequential
 greedy proposals, each only a (slot, Δq) pair: the executors know costs,
 never workers.  The master (driver) prices every proposal from the
@@ -55,20 +54,21 @@ from pyspark.sql import SparkSession
 
 from repro.core.assignment import build_task_contexts
 from repro.core.multi_greedy import ClaimLedger, MultiResult
-from repro.core.quality import p_vector, quality_from_p
+from repro.core.quality import p_vector  # noqa: F401  (perfbench/layertrace.py patches it here)
+from repro.core.quality import quality
 from repro.core.tree_index import VoronoiTreeIndex
+from repro.sparkpar import run_stage
 from repro.workloads import Workload
 
-#: Greedy proposals per task per round.  The driver reads it when it builds
-#: the round stage, so a patched value reaches the executors.
+#: Greedy proposals per task per round.  The driver reads it once per solve
+#: and the round stage closes over it, so a patched value reaches the
+#: executors.
 CHAIN_LEN = 16
 
 _STATE_SCHEMA = (
     "task_id long, exec_slots array<long>, costs array<double>, rem_budget double"
 )
-_PROPOSAL_COLUMNS = ["task_id", "ord", "slot", "gain"]
 _PROPOSAL_SCHEMA = "task_id long, ord long, slot long, gain double"
-_LOG_COLUMNS = ["round", "task_id", "slot", "heuristic", "committed", "reason", "rank"]
 
 
 def _has_affordable(costs: np.ndarray, exec_slots: list[int], rem: float) -> bool:
@@ -77,32 +77,6 @@ def _has_affordable(costs: np.ndarray, exec_slots: list[int], rem: float) -> boo
     ok = np.isfinite(costs) & (costs <= rem)
     ok[exec_slots] = False
     return bool(ok.any())
-
-
-def _make_propose_fn(m: int, k: int, t_s: int, chain_len: int):
-    """Executor-side worker threads: the next greedy chain of each task."""
-
-    def chain(tid: int, exec_slots, costs, rem: float) -> list[tuple]:
-        idx = VoronoiTreeIndex(m, k, costs, initial_exec=exec_slots)
-        out = []
-        for ord_ in range(chain_len):
-            cand = idx.best_candidate(rem, t_s)
-            if cand is None:
-                break
-            out.append((tid, ord_, cand.slot, cand.gain))
-            rem -= float(costs[cand.slot])
-            idx.commit(cand.slot)
-        return out
-
-    def propose(batches):
-        for pdf in batches:
-            rows = []
-            for row in zip(pdf["task_id"], pdf["exec_slots"], pdf["costs"],
-                           pdf["rem_budget"]):
-                rows += chain(*row)
-            yield pd.DataFrame(rows, columns=_PROPOSAL_COLUMNS)
-
-    return propose
 
 
 def solve_msqm_task_parallel(
@@ -138,7 +112,23 @@ def solve_msqm_task_parallel(
         log_rows.append((rounds, t, slot, h, reason == "ok", reason,
                          int(ledger.ranks[t, slot]) + 1))
 
-    propose = _make_propose_fn(wl.m, k, t_s, CHAIN_LEN)
+    # Read here, so the stage pickles two ints and not the whole workload.
+    m, chain_len = wl.m, CHAIN_LEN
+
+    def chain(row) -> list[tuple]:
+        """Executor-side worker thread: the next greedy chain of one task."""
+        tid, exec_slots, slot_costs, left = row
+        idx = VoronoiTreeIndex(m, k, slot_costs, initial_exec=exec_slots)
+        out = []
+        for ord_ in range(chain_len):
+            cand = idx.best_candidate(left, t_s)
+            if cand is None:
+                break
+            out.append((tid, ord_, cand.slot, cand.gain))
+            left -= float(slot_costs[cand.slot])
+            idx.commit(cand.slot)
+        return out
+
     while True:
         # The stopping rule (module docstring), priced from the state rows.
         costs = {t: ledger.costs(t) for t in active}
@@ -155,10 +145,8 @@ def solve_msqm_task_parallel(
                 "rem_budget": rem,
             }
         )
-        sdf = spark.createDataFrame(state, _STATE_SCHEMA)
-        if num_partitions:
-            sdf = sdf.coalesce(num_partitions)
-        props = sdf.mapInPandas(propose, _PROPOSAL_SCHEMA).toPandas()
+        props = run_stage(spark, state, _STATE_SCHEMA, chain, _PROPOSAL_SCHEMA,
+                          num_partitions)
         chains: dict[int, list[tuple[int, float]]] = {}
         for t, slot, gain in props.sort_values(["task_id", "ord"])[
             ["task_id", "slot", "gain"]
@@ -198,12 +186,10 @@ def solve_msqm_task_parallel(
             if ptr[t] < len(chains[t]):
                 heapq.heappush(heads, head_key(t))
 
-    result = ledger.result([
-        quality_from_p(p_vector(np.sort(np.asarray(a.exec_slots, np.int64)), wl.m, k))
-        for a in ledger.plan
-    ])
+    result = ledger.result([quality(a.exec_slots, wl.m, k) for a in ledger.plan])
     # The master's three tables are views of its one log.
-    rows = pd.DataFrame(log_rows, columns=_LOG_COLUMNS)
+    rows = pd.DataFrame(log_rows, columns=["round", "task_id", "slot", "heuristic",
+                                           "committed", "reason", "rank"])
     heartbeat = {t: h for _, t, _, h, *_ in log_rows}
     tables = {
         "heartbeat": pd.DataFrame(

@@ -1,12 +1,13 @@
-"""The TCSC quality metric as a Spark SQL query (Catalyst-executed).
+"""The TCSC quality metric as a Spark SQL query (Catalyst-executed): a test
+oracle for the numpy metric the solvers score with.
 
 The metric over a ``subtasks(task_id, slot, executed)`` relation is one SQL
 query: join unexecuted slots to executed ones, window-rank by temporal
 distance, aggregate the top-k distances (padding missing neighbours with m,
 footnote 2), then fold the entropy sum.  The *same SQL text* runs on DuckDB,
-so ``repro.oracle.assert_equivalent`` can diff the Spark result row-by-row
-against an independent engine — and both are cross-checked against the numpy
-reference (:mod:`repro.core.quality`) in the tests.
+so ``tests.oracle.assert_equivalent`` can diff the Spark result row-by-row
+against an independent engine — and ``tests/test_quality_sql.py``
+cross-checks both against the numpy reference (:mod:`repro.core.quality`).
 """
 from __future__ import annotations
 

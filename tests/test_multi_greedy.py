@@ -9,14 +9,14 @@ from repro.core.assignment import (
     build_task_contexts,
 )
 from repro.core import assignment, multi_greedy
-from repro.core.greedy import NaiveScorer
+from repro.core.greedy import EPS, NaiveScorer
 from repro.core.multi_greedy import (
     ClaimLedger,
     solve_mmqm,
     solve_msqm_serial,
     solve_multi_rand,
 )
-from repro.core.quality import quality
+from repro.core.quality import partial_quality, quality
 from repro.workloads import DISTRIBUTIONS, gen_workload
 from tests.plans import assert_valid_plan, replay_commits, temporal_quality
 
@@ -27,6 +27,42 @@ def _instance(n_tasks=6, n_workers=300, m=24, seed=0, dist="uniform"):
     ctxs = build_task_contexts(wl)
     b = 0.25 * average_task_cost(ctxs) * n_tasks
     return wl, ctxs, b
+
+
+def _float_best_single_subtask(m, k, costs, budget):
+    """Algorithm 1 line 3 by the float formula it used before the entropy
+    table: p (Eq 2) and −p·log2 p computed per (candidate, slot) cell."""
+    cand = np.nonzero(np.isfinite(costs) & (costs <= budget))[0]
+    if len(cand) == 0:
+        return None, -np.inf
+    ys = np.arange(m)
+    dist = np.abs(ys[None, :] - cand[:, None]).astype(np.float64)
+    sums = dist + (k - 1) * m
+    p = np.clip((1.0 - sums / (k * m)) / m, 0.0, None)
+    gp = partial_quality(p)
+    gp[np.arange(len(cand)), cand] = float(partial_quality(1.0 / m))
+    q = gp.sum(axis=1)
+    i = int(np.flatnonzero(q >= q.max() - EPS)[0])
+    return int(cand[i]), float(q[i])
+
+
+class TestBestSingleSubtask:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3, 50, 200, 500])
+    def test_bits_equal_float_formula(self, m, k):
+        """Line 3's (slot, q) has the float formula's bits, at a zero, a
+        tight and an ample budget, on costs with zero and ``inf`` entries."""
+        rng = np.random.default_rng(1000 * k + m)
+        costs = rng.uniform(0.5, 5.0, m)
+        costs[rng.random(m) < 0.2] = np.inf
+        costs[rng.random(m) < 0.05] = 0.0
+        finite = costs[np.isfinite(costs)]
+        tight = float(np.quantile(finite, 0.25)) if len(finite) else 1.0
+        for budget in (0.0, tight, 10.0):
+            got = multi_greedy._best_single_subtask(m, k, costs, budget)
+            want = _float_best_single_subtask(m, k, costs, budget)
+            assert got[0] == want[0]
+            assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
 
 
 class TestMsqmSerial:

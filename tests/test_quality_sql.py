@@ -7,10 +7,10 @@ from repro.core.assignment import average_task_cost, build_task_contexts
 from repro.core.greedy import solve_sqm_approx, solve_sqm_opt, solve_sqm_rand
 from repro.core.multi_greedy import solve_mmqm, solve_msqm_serial, solve_multi_rand
 from repro.core.quality import quality
-from repro.core.quality_sql import quality_sql, subtasks_pdf, task_quality_df
 from repro.core.tree_index import solve_sqm_approx_star
-from repro.oracle import assert_equivalent
 from repro.workloads import gen_workload
+from tests.oracle import assert_equivalent
+from tests.quality_sql import quality_sql, subtasks_pdf, task_quality_df
 
 
 CASES = [

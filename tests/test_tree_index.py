@@ -25,7 +25,7 @@ class TestIndexState:
         m = 30
         ex = sorted(rng.choice(m, size=6, replace=False).tolist())
         idx = _index_with(m, k, ex)
-        np.testing.assert_allclose(idx.p, p_vector(np.array(ex), m, k))
+        np.testing.assert_allclose(idx._P[idx.D_sum], p_vector(np.array(ex), m, k))
         assert idx.q_cur == pytest.approx(
             quality_from_p(p_vector(np.array(ex), m, k))
         )
@@ -175,7 +175,7 @@ class TestUpperBounds:
 def _search_state(idx):
     """Every array the search reads, as bytes (bit-for-bit comparison)."""
     arrays = {
-        "p": idx.p, "g_p": idx.g_p, "dk": idx.dk,
+        "p": idx._P[idx.D_sum], "g_p": idx.g_p, "dk": idx.dk,
         "D_sum_unexec": idx.D_sum[~idx.is_exec], "knn": np.array(idx._knn),
         "M": idx.M, "N": idx.N, "win_lo": idx._lo, "win_hi": idx._hi,
         "prefix": idx._prefix, "node_min_cost": idx._den,
@@ -308,8 +308,8 @@ class TestEntropyTable:
             idx = VoronoiTreeIndex(m, k, costs, initial_exec=order[:n0])
             for x in order[n0:]:
                 p, g_p, diff = _float_refresh(idx)
-                assert (idx.p.tobytes(), idx.g_p.tobytes(), idx._diff.tobytes()) == (
-                    p.tobytes(), g_p.tobytes(), diff.tobytes())
+                assert (idx._P[idx.D_sum].tobytes(), idx.g_p.tobytes(),
+                        idx._diff.tobytes()) == (p.tobytes(), g_p.tobytes(), diff.tobytes())
                 unexec = np.flatnonzero(~idx.is_exec)
                 batch = np.sort(rng.choice(unexec, size=int(rng.integers(1, len(unexec) + 1)),
                                            replace=False))
