@@ -1,15 +1,17 @@
 """Tests for the Voronoi tree index and Approx* (Section III-C)."""
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from repro.core.assignment import build_task_contexts, average_task_cost
 from repro.core.greedy import solve_sqm_approx
-from repro.core.multi_greedy import solve_msqm_serial
+from repro.core.multi_greedy import solve_mmqm, solve_msqm_serial
 from repro.core.quality import p_vector, partial_quality, quality_from_p
 from repro.core.tree_index import VoronoiTreeIndex, _entropy_table, solve_sqm_approx_star
-from repro.workloads import Workload, gen_workload
+from repro.workloads import DISTRIBUTIONS, Workload, gen_workload
 
 
 def _index_with(m, k, exec_slots, costs=None):
@@ -456,6 +458,36 @@ class TestApproxStarSolver:
         keys = ("candidates_evaluated", "candidates_total", "nodes_expanded",
                 "interp_ops", "steps")
         assert tuple(s.stats[k] for k in keys) == expected
+
+    def test_plans_and_counters_digest_pinned(self):
+        """One digest over serial MSQM and MMQM on the four distributions ×
+        seeds {0, 1} at |T|=32/m=50/|W|=1000 and the three single-task
+        Approx* solves above: slots, workers, cost and quality bits, the
+        five search counters, steps, conflicts and the Logging Table.
+        Computed before the one-pass-per-search scorer replaced the per-leaf
+        evaluation, which left it unchanged."""
+        keys = ("candidates_evaluated", "candidates_total", "nodes_expanded",
+                "interp_ops", "steps")
+
+        def rows(assignments):
+            return [(a.exec_slots, a.workers, a.cost.hex(), a.quality.hex(),
+                     [a.stats[k] for k in keys]) for a in assignments]
+
+        out = []
+        for dist, seed in itertools.product(DISTRIBUTIONS, (0, 1)):
+            wl = gen_workload(n_tasks=32, n_workers=1000, m=50, dist=dist, seed=seed)
+            ctxs = build_task_contexts(wl)
+            b = 0.25 * average_task_cost(ctxs) * len(ctxs)
+            for solve in (solve_msqm_serial, solve_mmqm):
+                r = solve(ctxs, b, 3)
+                out.append((rows(r.assignments), r.steps, r.conflicts, r.commits))
+        for kwargs in (dict(n_workers=300, m=60, seed=6),
+                       dict(n_workers=1000, m=200, seed=0),
+                       dict(n_workers=600, m=120, seed=1, dist="gaussian")):
+            ctx = build_task_contexts(gen_workload(n_tasks=1, **kwargs))[0]
+            out.append(rows([solve_sqm_approx_star(ctx, 0.25 * average_task_cost([ctx]), 3)]))
+        digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+        assert digest == "957cc4200b25d232ea2260b15392754c847e46cd1b80e3a42e5a785ffb5fd6fa"
 
     def test_larger_m_prunes_more(self):
         """The paper's Fig 8(d) shape: pruning ratio grows with m."""
