@@ -43,8 +43,12 @@ neighbours whose k-NN sets now include the new slot), then ``M``, ``N``, the
 Eq-6 prefix sums and the node bounds, each in one whole-array pass.
 Construction runs the same refresh over the whole timeline.
 
-A leaf's stale candidates are evaluated together, in one vectorized pass over
-their affected windows.
+A search scores its stale affordable candidates once, when it first reaches
+a leaf: one ragged pass lays each candidate's affected window out flat and
+sums each Δq over its own window.  The best-first loop then reads each leaf's
+values from that pass; the counters and the cross-step cache take only the
+candidates of the leaves it visits, so the plans and counters are those of
+evaluating leaf by leaf.
 
 No ``log2`` runs per candidate or per refresh.  Every temporal distance is an
 integer capped at ``m`` (Eqs 2–3, footnote 2), so every distance sum ``s`` the
@@ -57,7 +61,9 @@ its order to the same exactly represented ``s``, and each of those
 elementwise operations, ``log2`` included, maps equal inputs to equal bits
 wherever they sit in an array; so each lookup has the bits the formula would
 give (the tests compare them byte for byte), and plans, search counters and
-qualities are those of the formula.
+qualities are those of the formula.  A candidate's (h, gain) sums the cells
+of its own window only, so its bits depend on the index state and the
+candidate, not on the other candidates scored with it.
 """
 from __future__ import annotations
 
@@ -320,41 +326,41 @@ class VoronoiTreeIndex:
     def exact_heuristic(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exact Δq/cost and Δq of tentatively executing each slot of ``xs``.
 
-        Each candidate gets one row of ``w`` consecutive slots covering its
-        affected window, ``w`` being the widest window; a mask keeps the slots
-        whose k-NN set the candidate changes, and one masked row sum gives
-        every Δq.
+        One ragged pass: each candidate's cells are the slots of its own
+        affected window, laid out flat one window after another; a mask
+        keeps the slots whose k-NN set the candidate changes, and one
+        ``add.reduceat`` over the windows gives every Δq.  So a candidate's
+        bits depend on the index state and the candidate only, not on the
+        other candidates of ``xs``.  Reads the index and writes nothing.
         """
-        t0 = time.perf_counter()
-        m = self.m
         lo, hi = self._lo[xs], self._hi[xs]
-        span = hi - lo
-        w = int(span.max()) + 1
-        # Rows start early enough to end inside the timeline.  Slots a row
-        # holds outside its own window are unaffected (|y − x| ≥ d_k(y)), and
-        # executed slots have d_k = 0, so ``d < dk`` masks both out.
-        ys = np.minimum(lo, m - w)[:, None] + np.arange(w)
-        d = np.abs(ys - xs[:, None])
+        n = hi - lo + 1
+        starts = np.cumsum(n) - n
+        ys = np.arange(starts[-1] + n[-1]) + np.repeat(lo - starts, n)
+        x = np.repeat(xs, n)
+        # A window is a superset: its slots with |y − x| ≥ d_k(y) are
+        # unaffected, and executed slots have d_k = 0, so ``d < dk`` masks
+        # both out.
+        d = np.abs(ys - x)
         dk = self.dk[ys]
-        mask = (d < dk) & (ys != xs[:, None])
+        mask = (d < dk) & (ys != x)
         # Executing x swaps y's k-th distance for |y − x|.  The new sum lies
-        # in [0, k·m − 1] for every slot of a row (d_k ≤ D_sum, the other
+        # in [0, k·m − 1] for every slot of a window (d_k ≤ D_sum, the other
         # k − 1 distances are at most m each, and |y − x| < m), so the
         # entropy table is read unmasked.
         terms = np.where(mask, self._G[self.D_sum[ys] - dk + d] - self.g_p[ys], 0.0)
-        gain = terms.sum(axis=1) + (self.g_exec - self.g_p[xs])
-        self.counters["interp_ops"] += int(span.sum()) + len(xs)
-        self.timers["interp"] += time.perf_counter() - t0
-        h = gain / self.costs[xs]
-        self.h_valid[xs] = True
-        self.h_last[xs] = h
-        self.gain_last[xs] = gain
-        self.win_lo[xs], self.win_hi[xs] = lo, hi
-        return h, gain
+        gain = np.add.reduceat(terms, starts) + (self.g_exec - self.g_p[xs])
+        return gain / self.costs[xs], gain
 
     # -------------------------------------------------------------- search
     def best_candidate(self, rem_budget: float, t_s: int) -> Candidate | None:
-        """Best-first argmax of Δq/cost over affordable unexecuted slots."""
+        """Best-first argmax of Δq/cost over affordable unexecuted slots.
+
+        The first leaf the search reaches scores every stale affordable
+        candidate in one :meth:`exact_heuristic` pass; each leaf then reads
+        its own candidates' values from it.  Only the candidates of the
+        leaves the search visits are counted and cached.
+        """
         m = self.m
         afford = (~self.is_exec) & np.isfinite(self.costs) & (self.costs <= rem_budget)
         n_afford = np.count_nonzero(afford)
@@ -379,6 +385,9 @@ class VoronoiTreeIndex:
         # node on the heap holds at least one — and so an affordable slot.
         stale = afford & ~self.h_valid
         stale_ps = [0] + np.cumsum(stale).tolist()
+        xs = stale.nonzero()[0]  # leaf [l, r] holds xs[stale_ps[l] : stale_ps[r + 1]]
+        scored = None
+        visited: list[int] = []  # positions in xs of the visited leaves' candidates
         tree, ub, knn = self._tree, self._ub, self._knn
         L, R, left, right = tree.l, tree.r, tree.left, tree.right
         heap: list[tuple[float, int, int]] = []
@@ -392,26 +401,44 @@ class VoronoiTreeIndex:
             expanded += 1
             l, r = L[node], R[node]
             if r - l + 1 <= t_s or knn[l] == knn[r]:
-                self.timers["index"] += time.perf_counter() - t0
-                xs = l + stale[l : r + 1].nonzero()[0]
-                hs, gains = self.exact_heuristic(xs)
-                self.counters["candidates_evaluated"] += len(xs)
+                if scored is None:
+                    t1 = time.perf_counter()
+                    self.timers["index"] += t1 - t0
+                    scored = self.exact_heuristic(xs)
+                    slots, hs, gains = xs.tolist(), scored[0].tolist(), scored[1].tolist()
+                    t0 = time.perf_counter()
+                    self.timers["interp"] += t0 - t1
+                a, b = stale_ps[l], stale_ps[r + 1]
+                visited.extend(range(a, b))
+                if max(hs[a:b]) < floor:
+                    continue  # nothing in this leaf wins or ties
                 # Slot order, as a sequential scan: within EPS the lower slot wins.
-                for x, h, gain in zip(xs.tolist(), hs.tolist(), gains.tolist()):
+                for j in range(a, b):
+                    h = hs[j]
                     if (
                         best is None
                         or h > best.heuristic + EPS
-                        or (abs(h - best.heuristic) <= EPS and x < best.slot)
+                        or (abs(h - best.heuristic) <= EPS and slots[j] < best.slot)
                     ):
-                        best = Candidate(slot=x, heuristic=h, gain=gain)
+                        best = Candidate(slot=slots[j], heuristic=h, gain=gains[j])
                         floor = h - EPS
-                t0 = time.perf_counter()
             else:
                 for child in (left[node], right[node]):
                     if stale_ps[R[child] + 1] > stale_ps[L[child]] and ub[child] >= floor:
                         tie += 1
                         heapq.heappush(heap, (-ub[child], tie, child))
         self.counters["nodes_expanded"] += expanded
+        if visited:
+            # The visited candidates' values stay valid until a commit's
+            # affected window meets their own (see commit).
+            sel = np.array(visited)
+            ev = xs[sel]
+            lo, hi = self._lo[ev], self._hi[ev]
+            self.h_valid[ev] = True
+            self.h_last[ev], self.gain_last[ev] = scored[0][sel], scored[1][sel]
+            self.win_lo[ev], self.win_hi[ev] = lo, hi
+            self.counters["candidates_evaluated"] += len(sel)
+            self.counters["interp_ops"] += int((hi - lo).sum()) + len(sel)
         self.timers["index"] += time.perf_counter() - t0
         return best
 

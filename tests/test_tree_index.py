@@ -94,7 +94,6 @@ class TestIndexState:
             q1 = quality_from_p(p_vector(np.array(sorted(ex + [x])), m, k))
             assert gain == pytest.approx(q1 - q0, abs=1e-9)
             assert h == pytest.approx((q1 - q0) / costs[x], abs=1e-9)
-        assert idx.h_valid[xs].all()
 
 
 def _nodes(idx):
@@ -245,19 +244,19 @@ def _float_refresh(idx):
 
 def _float_exact_heuristic(idx, xs):
     """``exact_heuristic``'s (h, gain) by the float formula it used before the
-    entropy table, in its (n, w) row layout; reads the index and changes
-    nothing."""
+    entropy table, in its flat own-window layout; reads the index and
+    changes nothing."""
     m, k = idx.m, idx.k
     D_sum, dk_all = idx.D_sum.astype(np.float64), idx.dk.astype(np.float64)
-    lo, hi = idx._lo[xs], idx._hi[xs]
-    w = int((hi - lo).max()) + 1
-    ys = np.minimum(lo, m - w)[:, None] + np.arange(w)
-    d = np.abs(ys - xs[:, None])
+    windows = [np.arange(idx._lo[x], idx._hi[x] + 1) for x in xs]
+    starts = np.cumsum([0] + [len(w) for w in windows[:-1]])
+    ys, x = np.concatenate(windows), np.repeat(xs, [len(w) for w in windows])
+    d = np.abs(ys - x)
     dk = dk_all[ys]
-    mask = (d < dk) & (ys != xs[:, None])
+    mask = (d < dk) & (ys != x)
     new_p = np.where(mask, (1.0 - (D_sum[ys] - dk + d) / (k * m)) / m, 1.0)
     terms = np.where(mask, -new_p * np.log2(new_p) - idx.g_p[ys], 0.0)
-    gain = terms.sum(axis=1) + (idx.g_exec - idx.g_p[xs])
+    gain = np.add.reduceat(terms, starts) + (idx.g_exec - idx.g_p[xs])
     return gain / idx.costs[xs], gain
 
 
@@ -321,6 +320,45 @@ class TestEntropyTable:
                     want[0].tobytes(), want[1].tobytes())
                 idx.commit(x)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bits_do_not_depend_on_the_batch(self, seed):
+        """On the random states above, a candidate's (h, gain) bits are the
+        same scored alone, within that test's batch, within every unexecuted
+        slot, and as the Candidate ``best_candidate`` returns: they depend on
+        the index state and the candidate only."""
+        rng = np.random.default_rng(seed + 70)
+        for k in (1, 2, 3, 4):
+            m = int(rng.choice([1, 2, 3, 5, 17, 40, 64]))
+            costs = rng.uniform(0.5, 5, m)
+            costs[rng.random(m) < 0.15] = np.inf
+            if seed % 2:
+                step = int(rng.integers(2, 6))
+                order = list(range(0, m, step)) + [x for x in range(m) if x % step]
+            else:
+                order = rng.permutation(m).tolist()
+            n0 = int(rng.integers(0, min(k, m) + 1))
+            idx = VoronoiTreeIndex(m, k, costs, initial_exec=order[:n0])
+            for x in order[n0:]:
+                unexec = np.flatnonzero(~idx.is_exec)
+                batch = np.sort(rng.choice(unexec, size=int(rng.integers(1, len(unexec) + 1)),
+                                           replace=False))
+
+                def bits(xs):
+                    return {int(y): (h.hex(), g.hex()) for y, h, g in
+                            zip(xs, *(a.tolist() for a in idx.exact_heuristic(xs)))}
+
+                alone = {}
+                for y in unexec:
+                    alone |= bits(np.array([y]))
+                every = bits(unexec)
+                assert every == alone
+                assert bits(batch) == {y: alone[y] for y in batch.tolist()}
+                fresh = VoronoiTreeIndex(m, k, costs, initial_exec=idx.exec_sorted.tolist())
+                cand = fresh.best_candidate(np.inf, 4)
+                if cand is not None:
+                    assert (cand.heuristic.hex(), cand.gain.hex()) == alone[cand.slot]
+                idx.commit(x)
+
 
 class TestBestCandidate:
     @pytest.mark.parametrize("seed", range(6))
@@ -365,6 +403,51 @@ class TestBestCandidate:
         idx = _index_with(12, 2, [0], costs)
         cand = idx.best_candidate(10.0, 4)
         assert cand.slot != 5
+
+    @pytest.mark.parametrize("n_tasks,m", [(1, 200), (8, 60)])
+    def test_cache_holds_only_counted_candidates(self, monkeypatch, n_tasks, m):
+        """Across a whole solve, each search scores its stale candidates in
+        at most one pass; the slots it makes valid are exactly the candidates
+        it counts, cached with their values, windows and interp ops; and no
+        candidate it scored without counting reaches the cross-step cache."""
+        score, search = VoronoiTreeIndex.exact_heuristic, VoronoiTreeIndex.best_candidate
+        passes = []
+        totals = {"scored": 0, "counted": 0}
+
+        def spy_score(idx, xs):
+            passes.append(xs.copy())
+            return score(idx, xs)
+
+        def spy_search(idx, rem_budget, t_s):
+            before, c0 = idx.h_valid.copy(), dict(idx.counters)
+            passes.clear()
+            cand = search(idx, rem_budget, t_s)
+            new = np.flatnonzero(idx.h_valid & ~before)
+            assert len(new) == idx.counters["candidates_evaluated"] - c0["candidates_evaluated"]
+            assert idx.counters["interp_ops"] - c0["interp_ops"] == int(
+                (idx.win_hi[new] - idx.win_lo[new] + 1).sum())
+            assert len(passes) <= 1
+            if passes:
+                (xs,) = passes
+                assert not before[xs].any()
+                assert np.isin(new, xs).all()
+                assert np.count_nonzero(idx.h_valid[xs]) == len(new)
+                h, gain = score(idx, new)
+                assert (idx.h_last[new].tobytes(), idx.gain_last[new].tobytes()) == (
+                    h.tobytes(), gain.tobytes())
+                assert (idx.win_lo[new] == idx._lo[new]).all()
+                assert (idx.win_hi[new] == idx._hi[new]).all()
+                totals["scored"] += len(xs)
+            totals["counted"] += len(new)
+            return cand
+
+        monkeypatch.setattr(VoronoiTreeIndex, "exact_heuristic", spy_score)
+        monkeypatch.setattr(VoronoiTreeIndex, "best_candidate", spy_search)
+        ctxs = build_task_contexts(gen_workload(n_tasks=n_tasks, n_workers=150 * n_tasks,
+                                                m=m, seed=2))
+        r = solve_msqm_serial(ctxs, 0.25 * average_task_cost(ctxs) * n_tasks, 3)
+        assert r.steps > 0
+        assert totals["scored"] > totals["counted"] > 0
 
     def test_update_cost_invalidates_cache(self):
         idx = _index_with(16, 2, [2, 9], costs=np.ones(16))
