@@ -326,6 +326,10 @@ class TestEntropyTable:
         same scored alone, within that test's batch, within every unexecuted
         slot, and as the Candidate ``best_candidate`` returns: they depend on
         the index state and the candidate only."""
+        def bits(idx, xs):
+            return {int(y): (h.hex(), g.hex()) for y, h, g in
+                    zip(xs, *(a.tolist() for a in idx.exact_heuristic(xs)))}
+
         rng = np.random.default_rng(seed + 70)
         for k in (1, 2, 3, 4):
             m = int(rng.choice([1, 2, 3, 5, 17, 40, 64]))
@@ -342,17 +346,11 @@ class TestEntropyTable:
                 unexec = np.flatnonzero(~idx.is_exec)
                 batch = np.sort(rng.choice(unexec, size=int(rng.integers(1, len(unexec) + 1)),
                                            replace=False))
-
-                def bits(xs):
-                    return {int(y): (h.hex(), g.hex()) for y, h, g in
-                            zip(xs, *(a.tolist() for a in idx.exact_heuristic(xs)))}
-
                 alone = {}
                 for y in unexec:
-                    alone |= bits(np.array([y]))
-                every = bits(unexec)
-                assert every == alone
-                assert bits(batch) == {y: alone[y] for y in batch.tolist()}
+                    alone |= bits(idx, np.array([y]))
+                assert bits(idx, unexec) == alone
+                assert bits(idx, batch) == {y: alone[y] for y in batch.tolist()}
                 fresh = VoronoiTreeIndex(m, k, costs, initial_exec=idx.exec_sorted.tolist())
                 cand = fresh.best_candidate(np.inf, 4)
                 if cand is not None:
