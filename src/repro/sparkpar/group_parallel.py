@@ -3,8 +3,8 @@
 The driver ranks workers once (:func:`build_task_contexts`) and builds the
 independent conflict groups from those contexts
 (:mod:`repro.sparkpar.conflict_graph`).  The groups are optimized
-concurrently: one state row per group (its id and its tasks' ids as an array
-column) goes through one :func:`repro.sparkpar.run_stage`, and each row runs
+concurrently: one state row per group (its id and the list of its tasks'
+ids) goes through one :func:`repro.sparkpar.run_stage`, and each row runs
 the serial MSQM greedy on its tasks' contexts, in task-id order, and returns
 its commit log as ``(group_id, ord, task_id, slot)`` rows.  The contexts
 travel to the executors once per solve, as a broadcast variable.  The global
@@ -29,9 +29,6 @@ from repro.sparkpar import run_stage
 from repro.sparkpar.conflict_graph import build_groups
 from repro.workloads import Workload
 
-_STATE_SCHEMA = "group_id long, task_id array<long>"
-_LOG_SCHEMA = "group_id long, ord long, task_id long, slot long"
-
 
 def solve_msqm_group_parallel(
     spark: SparkSession,
@@ -46,28 +43,26 @@ def solve_msqm_group_parallel(
     ctxs = build_task_contexts(wl)
     groups, _, gstats = build_groups(ctxs)
     ledger = ClaimLedger(ctxs)
-    if not ctxs:
-        return ledger.result([]), gstats
     # ``groups`` lists the tasks in id order, and so does each group's row.
-    state = groups.groupby("group_id")["task_id"].agg(list).reset_index()
+    state = list(groups.groupby("group_id")["task_id"].agg(list).items())
     n_total = len(ctxs)
 
-    def run_group(g) -> list[tuple]:
+    def run_group(row) -> list[tuple]:
         """Serial MSQM on one group's state row: its commit log."""
-        group_ctxs = [ctxs_bc.value[t] for t in g.task_id]
+        group_id, task_ids = row
+        group_ctxs = [ctxs_bc.value[t] for t in task_ids]
         gb = budget * len(group_ctxs) / n_total
         res = solve_msqm_serial(group_ctxs, gb, k, t_s=t_s)
-        return [(g.group_id, ord_, t, slot)
+        return [(group_id, ord_, t, slot)
                 for ord_, (t, slot) in enumerate(res.commits)]
 
     ctxs_bc = spark.sparkContext.broadcast(ctxs)
     try:
-        log = run_stage(spark, state, _STATE_SCHEMA, run_group, _LOG_SCHEMA,
-                        num_partitions)
+        log = run_stage(spark, state, run_group, num_partitions)
     finally:
         ctxs_bc.unpersist()
 
-    log = log.sort_values(["group_id", "ord"])
-    for t, slot in zip(log["task_id"].tolist(), log["slot"].tolist()):
+    # Sorted by (group_id, ord), which is unique per commit.
+    for _, _, t, slot in sorted(log):
         ledger.claim(t, slot)
     return ledger.result([quality(a.exec_slots, wl.m, k) for a in ledger.plan]), gstats

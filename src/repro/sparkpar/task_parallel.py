@@ -8,9 +8,9 @@ committed plan is deterministic — consistent with the serialized Algorithm 1.
 
 Spark expression (DESIGN.md §3): worker threads become one
 :func:`repro.sparkpar.run_stage` per round over one state row per active
-task: its id, its executed slots as an ``array<long>``, its current cost per
-slot as an ``array<double>`` (``inf`` where no retained worker is left) and
-the remaining budget.  For each row the stage builds the task's Voronoi tree
+task: a tuple of its id, its executed slots, its current cost per slot (a
+float64 array, ``inf`` where no retained worker is left) and the remaining
+budget.  For each row the stage builds the task's Voronoi tree
 index from that state and emits a *chain* of up to ``CHAIN_LEN`` sequential
 greedy proposals, each only a (slot, Δq) pair: the executors know costs,
 never workers.  The master (driver) prices every proposal from the
@@ -64,11 +64,6 @@ from repro.workloads import Workload
 #: and the round stage closes over it, so a patched value reaches the
 #: executors.
 CHAIN_LEN = 16
-
-_STATE_SCHEMA = (
-    "task_id long, exec_slots array<long>, costs array<double>, rem_budget double"
-)
-_PROPOSAL_SCHEMA = "task_id long, ord long, slot long, gain double"
 
 
 def _has_affordable(costs: np.ndarray, exec_slots: list[int], rem: float) -> bool:
@@ -137,21 +132,12 @@ def solve_msqm_task_parallel(
         if not active:
             break
         rounds += 1
-        state = pd.DataFrame(
-            {
-                "task_id": active,
-                "exec_slots": [ledger.plan[t].exec_slots for t in active],
-                "costs": [costs[t] for t in active],
-                "rem_budget": rem,
-            }
-        )
-        props = run_stage(spark, state, _STATE_SCHEMA, chain, _PROPOSAL_SCHEMA,
-                          num_partitions)
+        state = [(t, ledger.plan[t].exec_slots, costs[t], rem) for t in active]
         chains: dict[int, list[tuple[int, float]]] = {}
-        for t, slot, gain in props.sort_values(["task_id", "ord"])[
-            ["task_id", "slot", "gain"]
-        ].itertuples(index=False):
-            chains.setdefault(int(t), []).append((int(slot), float(gain)))
+        # Sorted by (task_id, ord), which is unique per proposal.
+        for t, _, slot, gain in sorted(run_stage(spark, state, chain,
+                                                 num_partitions)):
+            chains.setdefault(t, []).append((int(slot), float(gain)))
         ptr = dict.fromkeys(chains, 0)
         heads = [head_key(t) for t in chains]
         heapq.heapify(heads)

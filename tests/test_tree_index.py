@@ -265,12 +265,14 @@ class TestEntropyTable:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_table_bits_equal_float_formula(self, k, m):
         """Every entry has the bits of the float formula at its distance
-        sum, in exact_heuristic's (n, w) rows (sums below k·m, since the
-        mask keeps them under D_sum) and in _refresh's two rows (all sums)."""
+        sum: at the sums exact_heuristic gathers for its flat window cells
+        (all below k·m), computed elementwise, and in _refresh's two rows
+        (all sums)."""
         P_tab, G_tab = _entropy_table(k, m)
         km = k * m
         s = np.random.default_rng(km).permutation(km + 1)
-        # (n, w) rows of 13 slots, as a leaf batch; unmasked cells read 1.0.
+        # The sums below k·m, packed 13 to a row; the padding cells past
+        # them are masked out and read 1.0.
         w = 13
         rows = np.full(-(-km // w) * w, km)
         rows[:km] = s[s < km]
