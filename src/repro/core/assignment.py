@@ -9,14 +9,22 @@ higher rank (Section IV).
 ``TaskContext`` holds, for one task, the top-R candidate workers per slot
 sorted by cost, as padded rectangular arrays.  ``build_task_contexts``
 ranks each slot once for all tasks of a :class:`repro.workloads.Workload`.
+
+``Workload`` is imported for annotations only: this module calls methods on
+the workload it is given and never builds one.  Spark's Python workers
+import it when they unpickle a round's row function, and a module-level
+import would load pandas, about 54 MB and 0.25 s, into every worker
+(DESIGN.md §3).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.workloads import Workload
+if TYPE_CHECKING:
+    from repro.workloads import Workload
 
 #: How many candidate workers to retain per (task, slot).  Conflict-driven
 #: rank bumps beyond this mark the slot unassignable for that task.

@@ -20,14 +20,18 @@ raises on a double claim, which checks that independence.
 """
 from __future__ import annotations
 
-from pyspark.sql import SparkSession
+from typing import TYPE_CHECKING
 
 from repro.core.assignment import build_task_contexts
 from repro.core.multi_greedy import ClaimLedger, MultiResult, solve_msqm_serial
 from repro.core.quality import quality
 from repro.sparkpar import run_stage
 from repro.sparkpar.conflict_graph import build_groups
-from repro.workloads import Workload
+
+if TYPE_CHECKING:
+    from pyspark.sql import SparkSession
+
+    from repro.workloads import Workload
 
 
 def solve_msqm_group_parallel(

@@ -47,10 +47,10 @@ at most Σ assignable slots, and bumps at most |T|·m·``top_r``.
 from __future__ import annotations
 
 import heapq
+from typing import TYPE_CHECKING
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.core.assignment import build_task_contexts
 from repro.core.multi_greedy import ClaimLedger, MultiResult
@@ -58,7 +58,11 @@ from repro.core.quality import p_vector  # noqa: F401  (perfbench/layertrace.py 
 from repro.core.quality import quality
 from repro.core.tree_index import VoronoiTreeIndex
 from repro.sparkpar import run_stage
-from repro.workloads import Workload
+
+if TYPE_CHECKING:
+    from pyspark.sql import SparkSession
+
+    from repro.workloads import Workload
 
 #: Greedy proposals per task per round.  The driver reads it once per solve
 #: and the round stage closes over it, so a patched value reaches the

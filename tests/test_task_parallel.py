@@ -329,8 +329,8 @@ class TestTaskParallel:
     @pytest.mark.parametrize("dist", ["gaussian", "poi"])
     def test_output_pinned(self, spark, monkeypatch, dist, setting):
         """Plans, conflicts, rounds and the Logging Table's order are those
-        of the sort-based chain merge (``part2`` coalesces the state and
-        must not change the default's output)."""
+        of the sort-based chain merge (``part2`` slices the state rows into
+        two partitions and must not change the default's output)."""
         if setting == "chain1":
             monkeypatch.setattr(task_parallel, "CHAIN_LEN", 1)
         wl = gen_workload(n_tasks=8, n_workers=80, m=12, dist=dist, seed=1)
@@ -356,11 +356,11 @@ class TestTaskParallel:
     @pytest.mark.parametrize("framework", ["task", "group"])
     def test_one_stage_per_round_on_several_cores(self, spark, framework,
                                                   num_partitions):
-        """Each round is one Spark stage whose tasks spread over the cores:
-        no shuffle that adaptive execution could coalesce into one task.
-        ``num_partitions`` only merges partitions, so a count above the
-        cores runs as the cores.  Group-parallel's instance has 9 conflict
-        groups, so its one round has 9 state rows."""
+        """Each round is one Spark stage whose tasks spread over the cores.
+        ``num_partitions`` is the ``parallelize`` slice count, capped at the
+        rows and the cores, so a count above the cores runs as the cores.
+        Group-parallel's instance has 9 conflict groups, so its one round
+        has 9 state rows."""
         if framework == "task":
             wl, _, b = _instance(n_tasks=8, n_workers=300, m=20, seed=0)
             solve = solve_msqm_task_parallel
