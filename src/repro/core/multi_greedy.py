@@ -31,6 +31,7 @@ reproducible.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,10 +91,17 @@ class ClaimLedger:
     workers and its summed cost, all in commit order — and ``commits`` is
     every claim's ``(task_id, slot)`` in commit order; :meth:`result` turns
     both into a :class:`MultiResult`.
+
+    It also holds the one global budget: every claim adds its cost to
+    ``spent``, ``rem`` is ``budget − spent``, and :meth:`affordable` is the
+    one rule every multi-task solver skips by.  The default infinite budget
+    serves replays, which check none.
     """
 
-    def __init__(self, ctxs: list[TaskContext]):
+    def __init__(self, ctxs: list[TaskContext], budget: float = math.inf):
         self.ctxs = ctxs
+        self.budget = budget
+        self.spent = 0.0
         self._workers = (np.stack([c.slot_workers for c in ctxs]) if ctxs
                          else np.empty((0, 0, 1), dtype=np.int64))
         self.ranks = np.zeros(self._workers.shape[:2], dtype=np.int64)
@@ -114,6 +122,25 @@ class ClaimLedger:
         c = self.ctxs[i]
         return c.slot_costs[np.arange(c.m), self.ranks[i]]
 
+    @property
+    def rem(self) -> float:
+        """The budget left: ``budget − spent``, spent summed in commit order."""
+        return self.budget - self.spent
+
+    def affordable(self, i: int, slot: int) -> bool:
+        """Whether task ``i``'s current cost at ``slot`` is finite and within
+        :attr:`rem`."""
+        c = self.cost(i, slot)
+        return math.isfinite(c) and c <= self.rem
+
+    def any_affordable(self, i: int) -> bool:
+        """Whether some unexecuted slot of task ``i`` is affordable: the test
+        ``VoronoiTreeIndex.best_candidate`` makes first."""
+        costs = self.costs(i)
+        ok = np.isfinite(costs) & (costs <= self.rem)
+        ok[self.plan[i].exec_slots] = False
+        return bool(ok.any())
+
     def bump(self, i: int, slot: int) -> int:
         """Advance task ``i`` at ``slot`` to its next unclaimed rank (the
         paper's k-th-NN bump); returns the new current worker."""
@@ -128,13 +155,15 @@ class ClaimLedger:
         return w
 
     def record(self, i: int, slot: int) -> tuple[int, float]:
-        """Claim task ``i``'s current worker at ``slot`` and add the subtask
-        to its plan, without bumping rivals; returns (worker, cost)."""
+        """Claim task ``i``'s current worker at ``slot``, charge its cost and
+        add the subtask to its plan, without bumping rivals; returns
+        (worker, cost)."""
         worker = self.worker(i, slot)
         if (worker, slot) in self.claimed:
             raise ValueError(f"worker {worker} at slot {slot} is already claimed")
         self.claimed.add((worker, slot))
         cost = self.cost(i, slot)
+        self.spent += cost
         a = self.plan[i]
         self.commits.append((a.task_id, slot))
         a.exec_slots.append(slot)
@@ -175,16 +204,14 @@ def _scorers(ctxs: list[TaskContext], k: int, use_index: bool) -> list:
     return [scorer(c.m, k, c.base_costs()) for c in ctxs]
 
 
-def _commit(
-    scorers: list, ledger: ClaimLedger, i: int, slot: int
-) -> tuple[float, list[int]]:
+def _commit(scorers: list, ledger: ClaimLedger, i: int, slot: int) -> list[int]:
     """Task ``i`` claims its current worker at ``slot`` and executes it;
-    bumped rivals are repriced.  Returns (cost, bumped tasks)."""
-    _, cost, rivals = ledger.claim(i, slot)
+    bumped rivals are repriced.  Returns the bumped tasks."""
+    rivals = ledger.claim(i, slot)[2]
     for t in rivals:
         scorers[t].update_cost(slot, ledger.cost(t, slot))
     scorers[i].commit(slot)
-    return cost, rivals
+    return rivals
 
 
 def _result(scorers: list, ledger: ClaimLedger) -> MultiResult:
@@ -205,15 +232,14 @@ def solve_msqm_serial(
 ) -> MultiResult:
     """Serial MSQM: global lazy greedy by Δq_sum/cost with worker conflicts."""
     scorers = _scorers(ctxs, k, use_index)
-    ledger = ClaimLedger(ctxs)
-    spent = 0.0
+    ledger = ClaimLedger(ctxs, budget)
     # Lazy-greedy heap of (−cached_h, task_idx, epoch); epoch invalidates.
     epochs = [0] * len(scorers)
     heap: list[tuple[float, int, int]] = []
     cached: list[Candidate | None] = [None] * len(scorers)
 
     def _push(i: int) -> None:
-        cand = scorers[i].best_candidate(budget - spent, t_s)
+        cand = scorers[i].best_candidate(ledger.rem, t_s)
         cached[i] = cand
         if cand is not None:
             heapq.heappush(heap, (-cand.heuristic, i, epochs[i]))
@@ -225,13 +251,12 @@ def solve_msqm_serial(
         if ep != epochs[i]:
             continue  # stale entry
         slot = cached[i].slot
-        if ledger.cost(i, slot) > budget - spent:
+        if not ledger.affordable(i, slot):
             # Re-evaluate under the tighter remaining budget.
             epochs[i] += 1
             _push(i)
             continue
-        cost, rivals = _commit(scorers, ledger, i, slot)
-        spent += cost
+        rivals = _commit(scorers, ledger, i, slot)
         epochs[i] += 1
         _push(i)
         # The claim raised the cost of its bumped rivals only, and only at
@@ -253,17 +278,16 @@ def solve_mmqm(
 ) -> MultiResult:
     """MMQM: repeatedly improve the minimum-quality task (heap-ordered)."""
     scorers = _scorers(ctxs, k, use_index)
-    ledger = ClaimLedger(ctxs)
-    spent = 0.0
+    ledger = ClaimLedger(ctxs, budget)
     heap = [(s.q_cur, i) for i, s in enumerate(scorers)]
     heapq.heapify(heap)
     while heap:
         i = heap[0][1]  # the weakest task that may still act
-        cand = scorers[i].best_candidate(budget - spent, t_s)
+        cand = scorers[i].best_candidate(ledger.rem, t_s)
         if cand is None:
             heapq.heappop(heap)
             continue
-        spent += _commit(scorers, ledger, i, cand.slot)[0]
+        _commit(scorers, ledger, i, cand.slot)
         heapq.heapreplace(heap, (scorers[i].q_cur, i))
     return _result(scorers, ledger)
 
@@ -274,18 +298,15 @@ def solve_multi_rand(
     """Rand baseline for the multi-task case: random (task, slot) picks with
     nearest-unclaimed-worker assignment until the budget is exhausted.
     Each task is scored once, on its final plan."""
-    ledger = ClaimLedger(ctxs)
+    ledger = ClaimLedger(ctxs, budget)
     g = np.random.default_rng(seed)
     pairs = [
         (i, int(s)) for i, c in enumerate(ctxs) for s in c.assignable_slots()
     ]
     g.shuffle(pairs)
-    spent = 0.0
     for i, slot in pairs:
-        cost = ledger.cost(i, slot)
-        if not np.isfinite(cost) or spent + cost > budget:
-            continue
-        spent += ledger.claim(i, slot)[1]
+        if ledger.affordable(i, slot):
+            ledger.claim(i, slot)
     return ledger.result(
         [quality(a.exec_slots, c.m, k) for a, c in zip(ledger.plan, ctxs)]
     )

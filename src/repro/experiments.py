@@ -24,6 +24,9 @@ from repro.core.multi_greedy import (
     solve_multi_rand,
 )
 from repro.core.tree_index import solve_sqm_approx_star
+from repro.sparkpar.conflict_graph import build_groups
+from repro.sparkpar.group_parallel import solve_msqm_group_parallel
+from repro.sparkpar.task_parallel import solve_msqm_task_parallel
 from repro.stcc.spatio_temporal import (
     solve_stcc_greedy,
     solve_stcc_opt,
@@ -128,6 +131,8 @@ def _timed_single(dist: str, m: int, n_workers: int, frac: float, seed: int,
     out["pruned_frac"] = a2.stats["pruned_frac"]
     out["tree_index_s"] = a2.stats["timers"]["index"] + a2.stats["timers"]["refresh"]
     out["star_interp_s"] = a2.stats["timers"]["interp"]
+    if run_naive:
+        out["speedup"] = out["approx_s"] / out["star_s"]
     return out
 
 
@@ -135,18 +140,15 @@ def fig8a(*, ms=(100, 200, 300, 400), n_workers: int = 1000,
           seed: int = 0) -> pd.DataFrame:
     """Single-task time vs m: Approx vs Approx*."""
     rows = [_timed_single("uniform", m, n_workers, 0.25, seed) for m in ms]
-    df = pd.DataFrame(rows)
-    df["speedup"] = df["approx_s"] / df["star_s"]
-    return df[["m", "approx_s", "star_s", "speedup", "approx_q", "star_q"]]
+    return pd.DataFrame(rows)[["m", "approx_s", "star_s", "speedup",
+                               "approx_q", "star_q"]]
 
 
 def fig8b(*, m: int = 200, n_workers_list=(1000, 2000, 4000),
           seed: int = 0) -> pd.DataFrame:
     """Time vs number of workers."""
     rows = [_timed_single("uniform", m, n, 0.25, seed) for n in n_workers_list]
-    df = pd.DataFrame(rows)
-    df["speedup"] = df["approx_s"] / df["star_s"]
-    return df[["n_workers", "approx_s", "star_s", "speedup"]]
+    return pd.DataFrame(rows)[["n_workers", "approx_s", "star_s", "speedup"]]
 
 
 def fig8c(*, m: int = 300, n_workers: int = 1000, seed: int = 0) -> pd.DataFrame:
@@ -192,9 +194,7 @@ def fig8e(*, m: int = 300, n_workers: int = 1000, t_s_list=(2, 4, 8, 16),
 def fig8f(*, m: int = 300, n_workers: int = 1000, seed: int = 0) -> pd.DataFrame:
     """Time vs task-location distribution."""
     rows = [_timed_single(d, m, n_workers, 0.25, seed) for d in DISTRIBUTIONS]
-    df = pd.DataFrame(rows)
-    df["speedup"] = df["approx_s"] / df["star_s"]
-    return df[["dist", "approx_s", "star_s", "speedup"]]
+    return pd.DataFrame(rows)[["dist", "approx_s", "star_s", "speedup"]]
 
 
 def fig8g(*, m: int = 300, n_workers: int = 1000, ks=(1, 2, 3, 4, 5),
@@ -214,9 +214,7 @@ def fig8h(*, m: int = 300, n_workers: int = 1000, seed: int = 0) -> pd.DataFrame
         _timed_single("uniform", m, n_workers, frac, seed)
         for frac in BUDGET_FRACS
     ]
-    df = pd.DataFrame(rows)
-    df["speedup"] = df["approx_s"] / df["star_s"]
-    return df[["budget_frac", "approx_s", "star_s", "speedup"]]
+    return pd.DataFrame(rows)[["budget_frac", "approx_s", "star_s", "speedup"]]
 
 
 # --------------------------------------------------------------- Figure 9
@@ -224,9 +222,6 @@ def fig9a(spark, *, n_tasks: int = 16, m: int = 100, n_workers: int = 2000,
           partitions=(1, 2, 4, 8, 16), seed: int = 0) -> pd.DataFrame:
     """MSQM: serial vs group-parallel vs task-parallel, vs parallelism.
     Every method's time includes worker ranking (``build_task_contexts``)."""
-    from repro.sparkpar.group_parallel import solve_msqm_group_parallel
-    from repro.sparkpar.task_parallel import solve_msqm_task_parallel
-
     wl, _, b = _instance(n_tasks, m, n_workers, seed)
     # One untimed solve per framework, so that no timed cell pays the
     # session's Spark and Python-worker start-up.
@@ -251,9 +246,6 @@ def fig9a(spark, *, n_tasks: int = 16, m: int = 100, n_workers: int = 2000,
 def fig9b(spark, *, n_tasks: int = 16, m: int = 100, n_workers: int = 2000,
           seed: int = 0) -> pd.DataFrame:
     """Parallel methods vs task-location distribution."""
-    from repro.sparkpar.group_parallel import solve_msqm_group_parallel
-    from repro.sparkpar.task_parallel import solve_msqm_task_parallel
-
     rows = []
     for dist in DISTRIBUTIONS:
         wl, _, b = _instance(n_tasks, m, n_workers, seed, dist=dist)
@@ -272,9 +264,6 @@ def fig9b(spark, *, n_tasks: int = 16, m: int = 100, n_workers: int = 2000,
 def fig9c(spark, *, n_tasks_list=(8, 16, 32), m: int = 100,
           n_workers: int = 2000, seed: int = 0) -> pd.DataFrame:
     """Number of worker conflicts vs number of tasks."""
-    from repro.sparkpar.conflict_graph import build_groups
-    from repro.sparkpar.task_parallel import solve_msqm_task_parallel
-
     rows = []
     for n in n_tasks_list:
         wl, ctxs, b = _instance(n, m, n_workers, seed)
@@ -290,8 +279,6 @@ def _serial_vs_task_parallel(spark, sizes, n_workers: int,
                              seed: int) -> pd.DataFrame:
     """Serial and task-parallel MSQM wall time per (|T|, m) of ``sizes``,
     worker ranking included on both sides."""
-    from repro.sparkpar.task_parallel import solve_msqm_task_parallel
-
     rows = []
     for n, m in sizes:
         wl, _, b = _instance(n, m, n_workers, seed)
@@ -324,8 +311,6 @@ def fig9e(spark, *, n_tasks: int = 16, ms=(60, 100, 200),
 def fig9f(spark, *, n_tasks: int = 16, m: int = 100, n_workers: int = 2000,
           seed: int = 0) -> pd.DataFrame:
     """Effect of the thread-priority module (priority on vs off)."""
-    from repro.sparkpar.task_parallel import solve_msqm_task_parallel
-
     wl, _, b = _instance(n_tasks, m, n_workers, seed)
     rows = []
     for prio in (True, False):

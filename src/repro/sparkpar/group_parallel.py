@@ -3,13 +3,13 @@
 The driver ranks workers once (:func:`build_task_contexts`) and builds the
 independent conflict groups from those contexts
 (:mod:`repro.sparkpar.conflict_graph`).  The groups are optimized
-concurrently: one state row per group (its id and the list of its tasks'
-ids) goes through one :func:`repro.sparkpar.run_stage`, and each row runs
-the serial MSQM greedy on its tasks' contexts, in task-id order, and returns
-its commit log as ``(group_id, ord, task_id, slot)`` rows.  The contexts
-travel to the executors once per solve, as a broadcast variable.  The global
-budget is split across groups proportionally to group size (the paper does
-not specify the split — DESIGN.md §5).
+concurrently: one state row per group (its id and its tasks' contexts, in
+task-id order) goes through one :func:`repro.sparkpar.run_stage`, and each
+row runs the serial MSQM greedy on those contexts and returns its commit log
+as ``(group_id, ord, task_id, slot)`` rows.  Each context is pickled once,
+into its own group's row.  The global budget is split across groups
+proportionally to group size (the paper does not specify the split —
+DESIGN.md §5), so budget one group leaves unspent is lost to the others.
 
 The driver replays the logs, each in commit order, through one
 :class:`repro.core.multi_greedy.ClaimLedger` (the master's Conflicting
@@ -48,23 +48,19 @@ def solve_msqm_group_parallel(
     groups, _, gstats = build_groups(ctxs)
     ledger = ClaimLedger(ctxs)
     # ``groups`` lists the tasks in id order, and so does each group's row.
-    state = list(groups.groupby("group_id")["task_id"].agg(list).items())
+    state = [(g, [ctxs[t] for t in task_ids]) for g, task_ids
+             in groups.groupby("group_id")["task_id"].agg(list).items()]
     n_total = len(ctxs)
 
     def run_group(row) -> list[tuple]:
         """Serial MSQM on one group's state row: its commit log."""
-        group_id, task_ids = row
-        group_ctxs = [ctxs_bc.value[t] for t in task_ids]
+        group_id, group_ctxs = row
         gb = budget * len(group_ctxs) / n_total
         res = solve_msqm_serial(group_ctxs, gb, k, t_s=t_s)
         return [(group_id, ord_, t, slot)
                 for ord_, (t, slot) in enumerate(res.commits)]
 
-    ctxs_bc = spark.sparkContext.broadcast(ctxs)
-    try:
-        log = run_stage(spark, state, run_group, num_partitions)
-    finally:
-        ctxs_bc.unpersist()
+    log = run_stage(spark, state, run_group, num_partitions)
 
     # Sorted by (group_id, ord), which is unique per commit.
     for _, _, t, slot in sorted(log):

@@ -10,19 +10,20 @@ Spark expression (DESIGN.md §3): worker threads become one
 :func:`repro.sparkpar.run_stage` per round over one state row per active
 task: a tuple of its id, its executed slots, its current cost per slot (a
 float64 array, ``inf`` where no retained worker is left) and the remaining
-budget.  For each row the stage builds the task's Voronoi tree
-index from that state and emits a *chain* of up to ``CHAIN_LEN`` sequential
-greedy proposals, each only a (slot, Δq) pair: the executors know costs,
-never workers.  The master (driver) prices every proposal from the
-Conflicting Table — the task's current worker and cost at the slot, and
-Δq/cost — so worker choice lives in one place,
+budget.  For each row the stage builds the task's Voronoi tree index from
+that state and emits a *chain* of up to ``CHAIN_LEN`` sequential greedy
+proposals, each only a (slot, Δq) pair: the executors know costs, never
+workers.  The master (driver) prices every proposal from the Conflicting
+Table — the task's current worker and cost at the slot, and Δq/cost — so
+worker choice lives in one place,
 :class:`repro.core.multi_greedy.ClaimLedger`, which also records each task's
-committed slots, workers and cost (the next round's state rows and the
-result are read from it).  Within one task a chain is exactly its greedy
-continuation; across tasks, marginal gains are independent except through
-worker claims — so merging all chains in descending heuristic order (a heap
-of chain heads) and committing until a conflict, budget miss, or chain end
-reproduces the serial greedy order.  On a conflict the loser's rank for that
+committed slots, workers and cost and holds the budget, in serial MSQM's
+arithmetic (the next round's state rows and the result are read from it).
+Within one task a chain is exactly its greedy continuation; across tasks,
+marginal gains are independent except through worker claims — so merging
+all chains in descending heuristic order (a heap of chain heads) and
+committing until a conflict, budget miss, or chain end reproduces the
+serial greedy order.  On a conflict the loser's rank for that
 slot is bumped in the Conflicting Table (1-NN → 2-NN → …) and its proposal
 re-enters the merge at its new price; with no worker left its chain is
 truncated and it re-proposes next round.  ``priority=False`` disables the
@@ -34,14 +35,14 @@ heuristic, outcome and the task's rank at the slot (after the bump, for a
 conflict).  The returned Heartbeat (each task's last heuristic), Conflicting
 (the conflict rows) and Logging tables are views of it.
 
-Stopping rule: before each round the master drops every task none of whose
-unexecuted slots has a finite cost within the remaining budget — the
-executors' own ``best_candidate`` test, so exactly the tasks that would
-propose nothing — and ends the solve, without a Spark job, once no task is
-left.  A dropped task never returns: costs only rise, the budget only falls
-and executed sets only grow.  A launched round always changes the plan: its
-first head was priced from the same ledger state under the same budget, so
-it commits or bumps.  That bounds the round count with no cap: commits are
+Stopping rule: before each round the master drops every task with nothing
+affordable left (``ClaimLedger.any_affordable``, the executors' own
+``best_candidate`` test, so exactly the tasks that would propose nothing)
+and ends the solve, without a Spark job, once no task is left.  A dropped
+task never returns: costs only rise, the budget only falls and executed sets
+only grow.  A launched round always changes the plan: its first head was
+priced from the same ledger state under the same budget, so it commits or
+bumps.  That bounds the round count with no cap: commits are
 at most Σ assignable slots, and bumps at most |T|·m·``top_r``.
 """
 from __future__ import annotations
@@ -70,14 +71,6 @@ if TYPE_CHECKING:
 CHAIN_LEN = 16
 
 
-def _has_affordable(costs: np.ndarray, exec_slots: list[int], rem: float) -> bool:
-    """Whether an unexecuted slot has a finite cost within ``rem``: the
-    affordability test ``VoronoiTreeIndex.best_candidate`` makes first."""
-    ok = np.isfinite(costs) & (costs <= rem)
-    ok[exec_slots] = False
-    return bool(ok.any())
-
-
 def solve_msqm_task_parallel(
     spark: SparkSession,
     wl: Workload,
@@ -89,8 +82,7 @@ def solve_msqm_task_parallel(
     num_partitions: int | None = None,
 ) -> tuple[MultiResult, dict]:
     """MSQM via the master/worker round protocol.  Returns (result, tables)."""
-    ledger = ClaimLedger(build_task_contexts(wl))
-    rem = float(budget)
+    ledger = ClaimLedger(build_task_contexts(wl), budget)
     active = list(range(len(ledger.plan)))
     log_rows: list[tuple] = []
     rounds = 0
@@ -129,14 +121,13 @@ def solve_msqm_task_parallel(
         return out
 
     while True:
-        # The stopping rule (module docstring), priced from the state rows.
-        costs = {t: ledger.costs(t) for t in active}
-        active = [t for t in active
-                  if _has_affordable(costs[t], ledger.plan[t].exec_slots, rem)]
+        # The stopping rule (module docstring).
+        active = [t for t in active if ledger.any_affordable(t)]
         if not active:
             break
         rounds += 1
-        state = [(t, ledger.plan[t].exec_slots, costs[t], rem) for t in active]
+        state = [(t, ledger.plan[t].exec_slots, ledger.costs(t), ledger.rem)
+                 for t in active]
         chains: dict[int, list[tuple[int, float]]] = {}
         # Sorted by (task_id, ord), which is unique per proposal.
         for t, _, slot, gain in sorted(run_stage(spark, state, chain,
@@ -148,7 +139,6 @@ def solve_msqm_task_parallel(
         while heads:
             t = heapq.heappop(heads)[-1]
             slot, gain = chains[t][ptr[t]]
-            cost = ledger.cost(t, slot)
             h = heuristic(t, slot, gain)
             if (ledger.worker(t, slot), slot) in ledger.claimed:
                 # Conflict: the proposal's gain is unaffected (quality
@@ -166,11 +156,10 @@ def solve_msqm_task_parallel(
                 # chain assumed it executed, so it is truncated and the task
                 # re-proposes next round.
                 continue
-            if cost > rem:
+            if not ledger.affordable(t, slot):
                 log(t, slot, h, "budget")  # the chain stops here
                 continue
             ledger.record(t, slot)
-            rem -= cost
             ptr[t] += 1
             log(t, slot, h, "ok")
             if ptr[t] < len(chains[t]):

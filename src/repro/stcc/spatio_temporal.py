@@ -137,28 +137,24 @@ def solve_stcc_greedy(
     n = len(ctxs)
     m, locs, diag = _geometry(ctxs, domain)
     exec_sets: list[set[int]] = [set() for _ in range(n)]
-    ledger = ClaimLedger(ctxs)
-    spent = 0.0
+    ledger = ClaimLedger(ctxs, budget)
     _, q_cur = stcc_quality(exec_sets, locs, m, k, w_s, w_t, diag)
     while True:
         best = None  # (h, i, slot, q_new)
         for i in range(n):
             for slot in range(m):
-                if slot in exec_sets[i]:
-                    continue
-                c = ledger.cost(i, slot)
-                if not np.isfinite(c) or spent + c > budget:
+                if slot in exec_sets[i] or not ledger.affordable(i, slot):
                     continue
                 exec_sets[i].add(slot)
                 _, q_new = stcc_quality(exec_sets, locs, m, k, w_s, w_t, diag)
                 exec_sets[i].discard(slot)
-                h = (q_new - q_cur) / c
+                h = (q_new - q_cur) / ledger.cost(i, slot)
                 if best is None or h > best[0] + EPS:
                     best = (h, i, slot, q_new)
         if best is None:
             break
         _, i, slot, q_cur = best
-        spent += ledger.claim(i, slot)[1]
+        ledger.claim(i, slot)
         exec_sets[i].add(slot)
     return ledger.result(stcc_quality(exec_sets, locs, m, k, w_s, w_t, diag)[0])
 
@@ -167,13 +163,11 @@ def _execute(
     ctxs: list[TaskContext], picks: list[tuple[int, int]], budget: float
 ) -> ClaimLedger | None:
     """Claim the (task, slot) ``picks`` in order; None if one is unaffordable."""
-    ledger = ClaimLedger(ctxs)
-    spent = 0.0
+    ledger = ClaimLedger(ctxs, budget)
     for i, slot in picks:
-        c = ledger.cost(i, slot)
-        if not np.isfinite(c) or spent + c > budget:
+        if not ledger.affordable(i, slot):
             return None
-        spent += ledger.claim(i, slot)[1]
+        ledger.claim(i, slot)
     return ledger
 
 

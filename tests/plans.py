@@ -48,12 +48,12 @@ def assert_valid_plan(wl, ctxs, res, budget, quality_of, *, tol=1e-12):
     assert res.steps == len(used)
 
 
-def replay_commits(ctxs, res):
+def replay_commits(ctxs, res, budget=np.inf):
     """Replay ``res.commits`` through a fresh
-    :class:`repro.core.multi_greedy.ClaimLedger` and check that it rebuilds
-    every task's (slot, worker) pairs and the bits of its cost; returns the
-    replayed ledger."""
-    ledger = ClaimLedger(ctxs)
+    :class:`repro.core.multi_greedy.ClaimLedger` holding ``budget`` and check
+    that it rebuilds every task's (slot, worker) pairs and the bits of its
+    cost; returns the replayed ledger."""
+    ledger = ClaimLedger(ctxs, budget)
     for t, slot in res.commits:
         ledger.claim(t, slot)
     assert len(res.commits) == res.steps
@@ -62,3 +62,15 @@ def replay_commits(ctxs, res):
             zip(want.exec_slots, want.workers))
         assert repr(got.cost) == repr(want.cost)
     return ledger
+
+
+def assert_maximal(ctxs, res, budget):
+    """Check that the plan is maximal under ``budget``: once its commits are
+    replayed, no task has an unexecuted slot whose current worker it can
+    still afford — the greedy's own stopping rule.
+
+    Group-parallel plans are not checked: each group stops at its own share
+    of the budget, so the leftovers of one group are never offered to the
+    others, and most instances that split end non-maximal."""
+    ledger = replay_commits(ctxs, res, budget)
+    assert [t for t in range(len(ctxs)) if ledger.any_affordable(t)] == []

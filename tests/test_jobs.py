@@ -27,6 +27,12 @@ def test_fig9_job_imports():
     assert callable(mod.main)
 
 
+def test_run_all_job_imports():
+    # So does run_all, the job that writes results/.
+    mod = _load("run_all")
+    assert callable(mod.main)
+
+
 def test_session_helper_builds_conf():
     mod = _load("_session")
     assert callable(mod.get_spark)

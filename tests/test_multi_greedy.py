@@ -18,7 +18,12 @@ from repro.core.multi_greedy import (
 )
 from repro.core.quality import partial_quality, quality
 from repro.workloads import DISTRIBUTIONS, gen_workload
-from tests.plans import assert_valid_plan, replay_commits, temporal_quality
+from tests.plans import (
+    assert_maximal,
+    assert_valid_plan,
+    replay_commits,
+    temporal_quality,
+)
 
 
 def _instance(n_tasks=6, n_workers=300, m=24, seed=0, dist="uniform"):
@@ -236,6 +241,17 @@ class TestEverySerialPlan:
         assert r.conflicts > 0
         assert replay_commits(ctxs, r).bumps == r.conflicts
 
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("dist", DISTRIBUTIONS)
+    def test_maximal(self, solver, dist, seed):
+        """Under a binding budget, the solver stops only when no task can
+        afford another subtask."""
+        _, ctxs, b = _instance(n_tasks=8, n_workers=60, m=12, seed=seed,
+                               dist=dist)
+        r = _SOLVERS[solver](ctxs, b, 3)
+        assert 0 < r.steps < sum(len(c.assignable_slots()) for c in ctxs)
+        assert_maximal(ctxs, r, b)
+
     def test_no_tasks(self, solver):
         wl = gen_workload(n_tasks=0, n_workers=50, m=10, seed=0)
         r = _SOLVERS[solver](build_task_contexts(wl), 100.0, 3)
@@ -357,6 +373,44 @@ class TestClaimLedger:
         assert n_rivals > 0
         if top_r == 2:
             assert (ledger.ranks == 2).any()  # some task ran past its list
+
+    def test_rem_is_budget_minus_costs_summed_in_commit_order(self):
+        ctxs = [_ctx(t, [10 + t], [c]) for t, c in enumerate((0.1, 0.2, 0.3))]
+        ledger = ClaimLedger(ctxs, 1.0)
+        for t in range(3):
+            ledger.claim(t, 0)
+        assert repr(ledger.spent) == repr(0.0 + 0.1 + 0.2 + 0.3)
+        assert repr(ledger.rem) == repr(1.0 - (0.0 + 0.1 + 0.2 + 0.3))
+        # Not the bits of subtracting each cost in turn.
+        assert repr(ledger.rem) != repr(1.0 - 0.1 - 0.2 - 0.3)
+
+    def test_a_cost_equal_to_rem_is_affordable(self):
+        ctxs = [_ctx(0, [10], [1.0], m=1), _ctx(1, [11], [2.0], m=1),
+                _ctx(2, [12], [np.nextafter(2.0, np.inf)], m=1)]
+        ledger = ClaimLedger(ctxs, 3.0)
+        ledger.claim(0, 0)
+        assert ledger.rem == 2.0
+        assert [ledger.affordable(t, 0) for t in range(3)] == [True, True, False]
+        # Task 0's one slot is executed, so it has nothing left to afford.
+        assert [ledger.any_affordable(t) for t in range(3)] == [False, True, False]
+
+    def test_inf_cost_is_unaffordable_under_the_default_budget(self):
+        ledger = ClaimLedger([_ctx(0, [], [], m=2), _ctx(1, [10], [1e300], m=2)])
+        assert ledger.rem == np.inf
+        assert not ledger.affordable(0, 0)
+        assert not ledger.any_affordable(0)
+        assert ledger.affordable(1, 1) and ledger.any_affordable(1)
+
+    def test_only_claims_are_charged(self):
+        ctxs = [_ctx(0, [10, 11], [1.0, 2.0]), _ctx(1, [10, 11], [1.0, 2.0])]
+        ledger = ClaimLedger(ctxs, 10.0)
+        assert ledger.claim(0, 0)[2] == [1]  # bumps task 1 to worker 11
+        assert (ledger.spent, ledger.rem) == (1.0, 9.0)
+        ledger.bump(1, 1)
+        assert ledger.bumps == 2
+        assert (ledger.spent, ledger.rem) == (1.0, 9.0)
+        ledger.record(1, 0)
+        assert (ledger.spent, ledger.rem) == (3.0, 7.0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_no_pair_claimed_twice(self, seed):

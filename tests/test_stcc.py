@@ -13,7 +13,7 @@ from repro.stcc.spatio_temporal import (
     stcc_score,
 )
 from repro.workloads import DISTRIBUTIONS, gen_workload
-from tests.plans import assert_valid_plan
+from tests.plans import assert_maximal, assert_valid_plan
 
 
 def _instance(n_tasks=4, n_workers=200, m=16, seed=0, dist="uniform"):
@@ -169,6 +169,15 @@ class TestStccSolvers:
         assert [a.exec_slots for a in tw.assignments] == [
             sorted(a.exec_slots) for a in ms.assignments
         ]
+
+    @pytest.mark.parametrize("dist", DISTRIBUTIONS)
+    @pytest.mark.parametrize("seed", range(2))
+    def test_sapprox_maximal(self, dist, seed):
+        """SApprox stops only when no task can afford another subtask."""
+        wl, ctxs, b = _instance(seed=seed, dist=dist)
+        sa = solve_stcc_greedy(ctxs, b, 2, domain=wl.domain)
+        assert 0 < sa.steps < sum(len(c.assignable_slots()) for c in ctxs)
+        assert_maximal(ctxs, sa, b)
 
     def test_opt_rejects_large_instances(self):
         _, ctxs, _ = _instance(n_tasks=4, m=16)

@@ -14,8 +14,13 @@ from repro.core.tree_index import solve_sqm_approx_star
 from repro.sparkpar import task_parallel
 from repro.sparkpar.group_parallel import solve_msqm_group_parallel
 from repro.sparkpar.task_parallel import solve_msqm_task_parallel
-from repro.workloads import Workload, gen_workload
-from tests.plans import assert_valid_plan, replay_commits, temporal_quality
+from repro.workloads import DISTRIBUTIONS, Workload, gen_workload
+from tests.plans import (
+    assert_maximal,
+    assert_valid_plan,
+    replay_commits,
+    temporal_quality,
+)
 
 #: Task-parallel output on two dense instances (8 tasks, 80 workers, m=12,
 #: seed 1, 50 % budget), recorded from the chain merge that sorted every
@@ -270,6 +275,18 @@ class TestTaskParallel:
         replay_commits(ctxs, r)
         ok = tables["logging"][tables["logging"].committed]
         assert r.commits == list(zip(ok.task_id, ok.slot))
+
+    @pytest.mark.parametrize("setting", ["default", "nopri"])
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("dist", DISTRIBUTIONS)
+    def test_maximal(self, spark, dist, seed, setting):
+        """Under a binding budget, the master stops only when no task can
+        afford another subtask, priced from the replayed Conflicting Table."""
+        wl, ctxs, b = _instance(n_tasks=8, n_workers=80, m=12, seed=seed,
+                                dist=dist)
+        r, _ = solve_msqm_task_parallel(spark, wl, b, 3, **_SETTINGS[setting])
+        assert 0 < r.steps < sum(len(c.assignable_slots()) for c in ctxs)
+        assert_maximal(ctxs, r, b)
 
     def test_tables_populated(self, spark):
         wl, _, b = _instance(n_tasks=6, n_workers=60, m=12, seed=1,
